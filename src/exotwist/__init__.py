@@ -7,7 +7,7 @@ and a two-element-coordinate model of KO^0(S^1) for the parity ledger.  No
 floats anywhere a theorem depends on one.
 """
 
-from .arith import Triple, gcd, is_pairwise_coprime, quarter_genus_is_odd
+from .arith import Triple, is_pairwise_coprime, quarter_genus_is_odd
 from .cache import FORMULA_VERSION, InvariantCache
 from .certify import (
     ROUTE_DIRECT,
@@ -46,7 +46,6 @@ from .milnor import (
     brieskorn_count,
     from_counts,
     invariants,
-    is_spin_with_canonical_spinc,
     milnor_number,
 )
 from .scan import ScanConfig, run_scan, scan_certificates
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Triple",
-    "gcd",
     "is_pairwise_coprime",
     "quarter_genus_is_odd",
     "FORMULA_VERSION",
@@ -101,7 +99,6 @@ __all__ = [
     "brieskorn_count",
     "from_counts",
     "invariants",
-    "is_spin_with_canonical_spinc",
     "milnor_number",
     "ScanConfig",
     "run_scan",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 
-__all__ = ["Triple", "gcd", "is_pairwise_coprime", "quarter_genus_is_odd"]
+__all__ = ["Triple", "is_pairwise_coprime", "quarter_genus_is_odd"]
 
 
 @dataclass(frozen=True, order=True)
@@ -30,27 +30,6 @@ class Triple:
         for name, value in (("p", self.p), ("q", self.q), ("r", self.r)):
             if not isinstance(value, int) or value < 2:
                 raise PreconditionError(f"exponent {name} must be an integer >= 2, got {value!r}")
-
-    def sorted_key(self) -> tuple[int, int, int]:
-        a, b, c = sorted((self.p, self.q, self.r))
-        return a, b, c
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers.
-
-    >>> gcd(6, 4)
-    2
-    >>> gcd(3, 7)
-    1
-    >>> gcd(0, 5)
-    5
-    """
-    if not (isinstance(a, int) and isinstance(b, int)) or a < 0 or b < 0:
-        raise PreconditionError(f"gcd expects nonnegative integers, got {a!r}, {b!r}")
-    if a == 0 and b == 0:
-        raise PreconditionError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
 
 
 def is_pairwise_coprime(t: Triple) -> bool:

@@ -14,6 +14,11 @@ The b+ = 2 (mod 4) condition is computed three ways (lattice count, genus
 plus half signature, quarter-genus parity); any disagreement raises
 ConsistencyError because it would falsify the arithmetic chain the
 certificates rest on.
+
+Each route's conditions on the triple live in one table (DIRECT_TABLE,
+EMBEDDING_TABLE).  The certificate builders format its rows into
+Conditions; route_holds evaluates the same predicates without formatting,
+which is what a scan uses to skip NONE triples.
 """
 
 from __future__ import annotations
@@ -22,11 +27,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .arith import Triple, quarter_genus_is_odd
 from .errors import ConsistencyError, PreconditionError
 from .ko_ring import exoticness_ledger
-from .milnor import MilnorInvariants, b_plus_via_lemma, invariants, is_spin_with_canonical_spinc
+from .milnor import MilnorInvariants, b_plus_via_lemma, invariants
 
 __all__ = [
     "ROUTE_DIRECT",
@@ -37,7 +43,11 @@ __all__ = [
     "certify_direct",
     "certify_embedding",
     "certify",
+    "route_holds",
     "CSV_HEADER",
+    "DIRECT_GATE",
+    "DIRECT_TABLE",
+    "EMBEDDING_TABLE",
 ]
 
 ROUTE_DIRECT = "DIRECT"
@@ -180,10 +190,77 @@ class Certificate:
         return "\n".join(lines)
 
 
-def _base_notes(p: int, q: int, r: int) -> list[str]:
-    # is_spin_with_canonical_spinc is constant truth; invoked so the note is
-    # tied to the predicate rather than free-floating prose.
-    return [NOTE_SPIN] if is_spin_with_canonical_spinc(p, q, r) else []
+# A condition on the triple: (name, expected, actual, holds), where actual
+# formats the observed value and holds decides it, both from (p, q, r).
+ConditionRow = tuple[str, str, Callable[[int, int, int], str], Callable[[int, int, int], bool]]
+
+# Gate of the direct route; listed on a certificate only when it fails.
+DIRECT_GATE: ConditionRow = (
+    "direct.p_is_2", "p = 2", lambda p, q, r: f"p = {p}", lambda p, q, r: p == 2,
+)
+
+# The last row is defined only once the rows above it hold.
+DIRECT_TABLE: tuple[ConditionRow, ...] = (
+    ("direct.q_odd", "q odd", lambda p, q, r: f"q = {q}", lambda p, q, r: q % 2 == 1),
+    ("direct.r_odd", "r odd", lambda p, q, r: f"r = {r}", lambda p, q, r: r % 2 == 1),
+    ("direct.q_at_least_3", "q >= 3", lambda p, q, r: f"q = {q}", lambda p, q, r: q >= 3),
+    ("direct.r_at_least_3", "r >= 3", lambda p, q, r: f"r = {r}", lambda p, q, r: r >= 3),
+    (
+        "direct.coprime", "gcd(q, r) = 1",
+        lambda p, q, r: f"gcd({q}, {r}) = {math.gcd(q, r)}",
+        lambda p, q, r: math.gcd(q, r) == 1,
+    ),
+    (
+        "direct.quarter_genus_odd", "(q-1)(r-1)/4 odd",
+        lambda p, q, r: f"(q-1)(r-1)/4 = {(q - 1) * (r - 1) // 4}",
+        lambda p, q, r: quarter_genus_is_odd(q, r),
+    ),
+)
+
+# Direct-route conditions on the invariants, (name, expected).  By the
+# consistency checks in certify_direct they hold exactly when the
+# quarter-genus row does.
+_DIRECT_B_PLUS = ("direct.b_plus_2_mod_4", "b+ = 2 (mod 4), two independent routes")
+_DIRECT_LEDGER = ("direct.ledger_flip", "framing change flips the torsion coordinate")
+
+EMBEDDING_TABLE: tuple[ConditionRow, ...] = (
+    (
+        "embedding.pairwise_coprime", "gcd(p,q) = gcd(q,r) = gcd(p,r) = 1",
+        lambda p, q, r: (
+            f"gcd(p,q) = {math.gcd(p, q)}, gcd(q,r) = {math.gcd(q, r)}, "
+            f"gcd(p,r) = {math.gcd(p, r)}"
+        ),
+        lambda p, q, r: math.gcd(p, q) == math.gcd(q, r) == math.gcd(p, r) == 1,
+    ),
+    (
+        "embedding.strictly_ordered", "2 <= p < q < r",
+        lambda p, q, r: f"(p, q, r) = ({p}, {q}, {r})", lambda p, q, r: 2 <= p < q < r,
+    ),
+    ("embedding.r_at_least_7", "r >= 7", lambda p, q, r: f"r = {r}", lambda p, q, r: r >= 7),
+)
+
+_PREDICATES = {
+    ROUTE_DIRECT: tuple(row[3] for row in (DIRECT_GATE, *DIRECT_TABLE)),
+    ROUTE_EMBEDDING: tuple(row[3] for row in EMBEDDING_TABLE),
+}
+
+
+def route_holds(route: str, p: int, q: int, r: int) -> bool:
+    """Whether (p, q, r) meets every tabled condition of the route.
+
+    Evaluates the predicates in table order and stops at the first that
+    fails; nothing is formatted.  certify_direct and certify_embedding give
+    their route exactly when this holds.
+    """
+    for holds in _PREDICATES[route]:
+        if not holds(p, q, r):
+            return False
+    return True
+
+
+def _condition(row: ConditionRow, p: int, q: int, r: int) -> Condition:
+    name, expected, actual, holds = row
+    return Condition(name, expected, actual(p, q, r), holds(p, q, r))
 
 
 def certify_direct(q: int, r: int, *, _inv: MilnorInvariants | None = None) -> Certificate:
@@ -195,23 +272,15 @@ def certify_direct(q: int, r: int, *, _inv: MilnorInvariants | None = None) -> C
     for name, value in (("q", q), ("r", r)):
         if not isinstance(value, int) or value < 2:
             raise PreconditionError(f"{name} must be an integer >= 2, got {value!r}")
-    conditions: list[Condition] = [
-        Condition("direct.q_odd", "q odd", f"q = {q}", q % 2 == 1),
-        Condition("direct.r_odd", "r odd", f"r = {r}", r % 2 == 1),
-        Condition("direct.q_at_least_3", "q >= 3", f"q = {q}", q >= 3),
-        Condition("direct.r_at_least_3", "r >= 3", f"r = {r}", r >= 3),
-        Condition(
-            "direct.coprime", "gcd(q, r) = 1", f"gcd({q}, {r}) = {math.gcd(q, r)}",
-            math.gcd(q, r) == 1,
-        ),
-    ]
+    *prereq_rows, parity_row = DIRECT_TABLE
+    conditions = [_condition(row, 2, q, r) for row in prereq_rows]
     prereqs_ok = all(c.ok for c in conditions)
     inv = _inv if _inv is not None else invariants(2, q, r)
     eigenspace_dim: int | None = None
-    notes = _base_notes(2, q, r)
+    notes = [NOTE_SPIN]
     if prereqs_ok:
-        parity = quarter_genus_is_odd(q, r)
-        quarter = (q - 1) * (r - 1) // 4
+        conditions.append(_condition(parity_row, 2, q, r))
+        parity = conditions[-1].ok
         b_plus = inv.sigma_plus
         b_lemma = b_plus_via_lemma(q, r)
         if b_plus != b_lemma:
@@ -226,14 +295,8 @@ def certify_direct(q: int, r: int, *, _inv: MilnorInvariants | None = None) -> C
             )
         conditions.append(
             Condition(
-                "direct.quarter_genus_odd", "(q-1)(r-1)/4 odd",
-                f"(q-1)(r-1)/4 = {quarter}", parity,
-            )
-        )
-        conditions.append(
-            Condition(
-                "direct.b_plus_2_mod_4", "b+ = 2 (mod 4), two independent routes",
-                f"b+ = {b_plus} (count) = {b_lemma} (genus route)", b_plus % 4 == 2,
+                *_DIRECT_B_PLUS, f"b+ = {b_plus} (count) = {b_lemma} (genus route)",
+                b_plus % 4 == 2,
             )
         )
         ledger = exoticness_ledger(b_plus, psi0_is_unit=True)
@@ -244,20 +307,11 @@ def certify_direct(q: int, r: int, *, _inv: MilnorInvariants | None = None) -> C
                 f"torsion {ledger.pulled_back.t} (pulled back) vs "
                 f"{ledger.twisted.t} (re-framed)"
             )
-        conditions.append(
-            Condition(
-                "direct.ledger_flip", "framing change flips the torsion coordinate",
-                actual, ledger.exotic,
-            )
-        )
+        conditions.append(Condition(*_DIRECT_LEDGER, actual, ledger.exotic))
         eigenspace_dim = b_plus
     else:
         unevaluated = "not evaluated (prerequisites failed)"
-        for cname, expectation in (
-            ("direct.quarter_genus_odd", "(q-1)(r-1)/4 odd"),
-            ("direct.b_plus_2_mod_4", "b+ = 2 (mod 4), two independent routes"),
-            ("direct.ledger_flip", "framing change flips the torsion coordinate"),
-        ):
+        for cname, expectation in (parity_row[:2], _DIRECT_B_PLUS, _DIRECT_LEDGER):
             conditions.append(Condition(cname, expectation, unevaluated, False))
     route = ROUTE_DIRECT if all(c.ok for c in conditions) else ROUTE_NONE
     if route == ROUTE_DIRECT:
@@ -281,21 +335,9 @@ def certify_embedding(
     """Certify an exotic diffeomorphism of M_c(p,q,r) via an embedded
     M_c(2,3,7)."""
     triple = Triple(p, q, r)
-    g_pq, g_qr, g_pr = math.gcd(p, q), math.gcd(q, r), math.gcd(p, r)
-    conditions = (
-        Condition(
-            "embedding.pairwise_coprime", "gcd(p,q) = gcd(q,r) = gcd(p,r) = 1",
-            f"gcd(p,q) = {g_pq}, gcd(q,r) = {g_qr}, gcd(p,r) = {g_pr}",
-            g_pq == g_qr == g_pr == 1,
-        ),
-        Condition(
-            "embedding.strictly_ordered", "2 <= p < q < r",
-            f"(p, q, r) = ({p}, {q}, {r})", 2 <= p < q < r,
-        ),
-        Condition("embedding.r_at_least_7", "r >= 7", f"r = {r}", r >= 7),
-    )
+    conditions = tuple(_condition(row, p, q, r) for row in EMBEDDING_TABLE)
     passed = all(c.ok for c in conditions)
-    notes = _base_notes(p, q, r)
+    notes = [NOTE_SPIN]
     if passed:
         notes.append(NOTE_EMBEDDING)
         notes.append(NOTE_EMBEDDING_EIGENSPACE)
@@ -317,7 +359,8 @@ def certify(t: Triple, *, _inv: MilnorInvariants | None = None) -> Certificate:
     if not isinstance(t, Triple):
         t = Triple(*t)
     inv = _inv if _inv is not None else invariants(t.p, t.q, t.r)
-    if t.p == 2:
+    gate = _condition(DIRECT_GATE, t.p, t.q, t.r)
+    if gate.ok:
         direct = certify_direct(t.q, t.r, _inv=inv)
         if direct.route == ROUTE_DIRECT:
             return direct
@@ -325,11 +368,9 @@ def certify(t: Triple, *, _inv: MilnorInvariants | None = None) -> Certificate:
         direct_eigen = direct.eigenspace_dim
         direct_notes = direct.notes
     else:
-        direct_conditions = (
-            Condition("direct.p_is_2", "p = 2", f"p = {t.p}", False),
-        )
+        direct_conditions = (gate,)
         direct_eigen = None
-        direct_notes = tuple(_base_notes(t.p, t.q, t.r))
+        direct_notes = (NOTE_SPIN,)
     embedded = certify_embedding(t.p, t.q, t.r, _inv=inv)
     seen: set[str] = set()
     notes = tuple(

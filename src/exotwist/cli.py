@@ -7,6 +7,9 @@ Three verbs:
   scan       every triple in a box, emitted as csv/json/text rows
   signature  torus-knot signature by lattice count, Seifert matrix, or both
              (both cross-checks and fails loudly on disagreement)
+
+Any verb exits 3 when two independent computations disagree
+(ConsistencyError): that is a defect in the program, never a verdict.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 
 from .arith import Triple
 from .certify import CSV_HEADER, ROUTE_NONE, certify
-from .errors import DimensionLimitError, PreconditionError
+from .errors import ConsistencyError, DimensionLimitError, PreconditionError
 from .scan import FORMATS, MODES, ScanConfig, run_scan
 from .torus_knot import knot_signature_count, knot_signature_seifert
 
@@ -149,6 +152,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "scan":
             return _run_scan(args, parser)
         return _run_signature(args, parser)
+    except ConsistencyError as exc:
+        print(f"error: internal defect: {exc}", file=sys.stderr)
+        return 3
     except SystemExit as exc:
         # argparse exits on --help (0) and usage errors (2); fold both into
         # the return-code contract so callers never see the exception

@@ -1,8 +1,8 @@
 """Intersection-form invariants of the Brieskorn-Pham Milnor fiber M_c(p,q,r).
 
 The second cohomology of the fiber carries a symmetric intersection form of
-rank mu = (p-1)(q-1)(r-1).  Its inertia (b+, b-, nullity) is computed by the
-classical lattice-point count: each triple (i,j,k) with 1 <= i <= p-1,
+rank mu = (p-1)(q-1)(r-1).  Its inertia (b+, b-, nullity) is Brieskorn's
+(1966) lattice-point count: each triple (i,j,k) with 1 <= i <= p-1,
 1 <= j <= q-1, 1 <= k <= r-1 contributes an eigenvector whose sign is read
 off from s = i/p + j/q + k/r modulo 2:
 
@@ -10,9 +10,18 @@ off from s = i/p + j/q + k/r modulo 2:
     s mod 2 in (1,2)  ->  negative eigenvalue
     s integral        ->  null vector
 
-All comparisons are done on the integer N = i*qr + j*pr + k*pq against the
-multiples pqr and 2pqr, so the classification is exact at every size.  Since
-0 < s < 3, "s mod 2 in (0,1)" means N < pqr or N > 2pqr.
+The involution (i,j,k) -> (p-i, q-j, r-k) sends s to 3 - s, so b+ is twice
+the number of points with s < 1 and the nullity twice the number with s = 1.
+With the exponents sorted to a <= b <= c, fix (i,j) and put
+v = ab - ib - ja.  Points with s <= 1 need v > 0; then s < 1 holds for the
+floor((cv-1)/ab) smallest k, and s = 1 for one k exactly when ab | cv:
+
+    b+      = 2 * sum over v > 0 of floor((cv-1)/ab)
+    nullity = 2 * #{v > 0 : ab | cv}
+
+The offsets v depend on (a, b) only, so a scan computes them once and reuses
+them for every c.  The sums run in numpy int64 while c*ab < 2**62, and in
+numpy object dtype (exact Python integers) above it.
 
 The boundary of the fiber inherits a canonical contact structure; its d3
 invariant is the exact rational -sigma/4 - b+ - 1/2.
@@ -30,20 +39,16 @@ from .errors import ConsistencyError, PreconditionError
 __all__ = [
     "MilnorInvariants",
     "milnor_number",
+    "positive_offsets",
+    "offsets_count",
     "brieskorn_count",
     "from_counts",
     "invariants",
     "b_plus_via_lemma",
-    "is_spin_with_canonical_spinc",
 ]
 
-# Above this many lattice points the (i,j) grid is evaluated with numpy
-# (int64; guarded against overflow).  Pure-Python integers below, where the
-# array overhead would dominate.
-_NUMPY_CUTOFF = 4096
-
-# int64 guard: every intermediate is bounded by 3*pqr + pq.
-_INT64_SAFE = 2**62
+# int64 guard: c*v < c*ab bounds every intermediate of the offsets kernel.
+_INT64_GUARD = 2**62
 
 
 def _validate_exponents(p: int, q: int, r: int) -> None:
@@ -80,71 +85,39 @@ def milnor_number(p: int, q: int, r: int) -> int:
     return (p - 1) * (q - 1) * (r - 1)
 
 
-def _count_slab(a: int, b: int, c: int, i: int, j: int) -> tuple[int, int, int]:
-    # Counts along the k-axis for one fixed (i, j), in O(1) integer steps.
-    # N = i*bc + j*ac + k*ab partitions k in [1, c-1] into runs according to
-    # N < abc, N = abc, abc < N < 2abc, N = 2abc, N > 2abc.
+def positive_offsets(a: int, b: int) -> np.ndarray:
+    """The positive values of ab - ib - ja over 1 <= i < a, 1 <= j < b.
+
+    >>> positive_offsets(3, 4).tolist()
+    [5, 2, 1]
+    """
+    dtype = np.int64 if a * b < _INT64_GUARD else object
+    i = np.arange(1, a, dtype=dtype) * b
+    j = np.arange(1, b, dtype=dtype) * a
+    v = (a * b - np.add.outer(i, j)).ravel()
+    return v[v > 0]
+
+
+def offsets_count(a: int, b: int, c: int, v: np.ndarray) -> tuple[int, int]:
+    """(b+, nullity) of M_c(a,b,c) from v = positive_offsets(a, b).
+
+    Exact in any order of the exponents; a <= b <= c keeps v shortest.
+
+    >>> offsets_count(2, 3, 7, positive_offsets(2, 3))
+    (2, 0)
+    """
     ab = a * b
-    abc = ab * c
-    base = i * b * c + j * a * c
-    d1 = abc - base          # N < abc  <=>  k*ab < d1
-    d2 = d1 + abc            # N < 2abc <=>  k*ab < d2
-    plus = minus = null = 0
-    if d1 > 0:
-        plus += min((d1 - 1) // ab, c - 1)
-        if d1 % ab == 0 and 1 <= d1 // ab <= c - 1:
-            null += 1
-    lo = max(d1 // ab + 1, 1)
-    hi = min((d2 - 1) // ab, c - 1)
-    if hi >= lo:
-        minus += hi - lo + 1
-    if d2 % ab == 0 and 1 <= d2 // ab <= c - 1:
-        null += 1
-    lo2 = max(d2 // ab + 1, 1)
-    if c - 1 >= lo2:
-        plus += c - lo2
-    return plus, minus, null
-
-
-def _count_python(a: int, b: int, c: int) -> tuple[int, int, int]:
-    plus = minus = null = 0
-    for i in range(1, a):
-        for j in range(1, b):
-            dp, dm, dn = _count_slab(a, b, c, i, j)
-            plus += dp
-            minus += dm
-            null += dn
-    return plus, minus, null
-
-
-def _count_numpy(a: int, b: int, c: int) -> tuple[int, int, int]:
-    # Same arithmetic as _count_slab, vectorized over the whole (i, j) grid.
-    ab = a * b
-    abc = ab * c
-    i = np.arange(1, a, dtype=np.int64) * (b * c)
-    j = np.arange(1, b, dtype=np.int64) * (a * c)
-    base = np.add.outer(i, j).ravel()
-    d1 = abc - base
-    d2 = d1 + abc
-    plus = np.sum(np.minimum((d1 - 1) // ab, c - 1).clip(min=0))
-    k1 = d1 // ab
-    null = np.sum((d1 % ab == 0) & (k1 >= 1) & (k1 <= c - 1))
-    k2 = d2 // ab
-    null += np.sum((d2 % ab == 0) & (k2 >= 1) & (k2 <= c - 1))
-    lo = np.maximum(k1 + 1, 1)
-    hi = np.minimum((d2 - 1) // ab, c - 1)
-    minus = np.sum((hi - lo + 1).clip(min=0))
-    lo2 = np.maximum(k2 + 1, 1)
-    plus += np.sum((c - lo2).clip(min=0))
-    return int(plus), int(minus), int(null)
+    if c * ab >= _INT64_GUARD:
+        v = v.astype(object)
+    cv = c * v
+    return 2 * int(((cv - 1) // ab).sum()), 2 * int(np.count_nonzero(cv % ab == 0))
 
 
 def brieskorn_count(p: int, q: int, r: int) -> tuple[int, int, int]:
     """(sigma_plus, sigma_minus, nullity) of the intersection form of M_c(p,q,r).
 
-    Symmetric in the exponents; internally the k-run along the largest
-    exponent is resolved by interval arithmetic rather than point-by-point,
-    so the cost is O(ab) for sorted exponents a <= b <= c.
+    Symmetric in the exponents: the offsets kernel runs on the sorted
+    exponents a <= b <= c at a cost of O(ab).
 
     >>> brieskorn_count(2, 2, 3)
     (0, 2, 0)
@@ -155,9 +128,8 @@ def brieskorn_count(p: int, q: int, r: int) -> tuple[int, int, int]:
     """
     _validate_exponents(p, q, r)
     a, b, c = sorted((p, q, r))
-    if (a - 1) * (b - 1) >= _NUMPY_CUTOFF and 3 * a * b * c + a * b < _INT64_SAFE:
-        return _count_numpy(a, b, c)
-    return _count_python(a, b, c)
+    sigma_plus, nullity = offsets_count(a, b, c, positive_offsets(a, b))
+    return sigma_plus, (a - 1) * (b - 1) * (c - 1) - sigma_plus - nullity, nullity
 
 
 def _d3(sigma: int, sigma_plus: int) -> Fraction:
@@ -200,14 +172,8 @@ def invariants(p: int, q: int, r: int) -> MilnorInvariants:
     >>> invariants(2, 3, 7).d3
     Fraction(-1, 2)
     """
-    sigma_plus, sigma_minus, nullity = brieskorn_count(p, q, r)
-    inv = from_counts(p, q, r, sigma_plus, nullity)
-    if inv.sigma_minus != sigma_minus:
-        raise ConsistencyError(
-            f"count ({sigma_plus}, {sigma_minus}, {nullity}) does not sum to "
-            f"mu = {inv.mu} for ({p}, {q}, {r})"
-        )
-    return inv
+    sigma_plus, _, nullity = brieskorn_count(p, q, r)
+    return from_counts(p, q, r, sigma_plus, nullity)
 
 
 def b_plus_via_lemma(q: int, r: int) -> int:
@@ -232,16 +198,3 @@ def b_plus_via_lemma(q: int, r: int) -> int:
     if sigma % 2 != 0:
         raise ConsistencyError(f"odd knot signature {sigma} for T({q},{r}); count is defective")
     return g + sigma // 2
-
-
-def is_spin_with_canonical_spinc(p: int, q: int, r: int) -> bool:
-    """Every Milnor fiber is spin, and its canonical spin-c structure is the
-    spin one (the canonical bundle of the fiber is trivial).
-
-    Constant by mathematics; exists so certificates can cite the hypothesis.
-
-    >>> is_spin_with_canonical_spinc(3, 4, 5)
-    True
-    """
-    _validate_exponents(p, q, r)
-    return True

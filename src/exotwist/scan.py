@@ -7,27 +7,27 @@ are emitted for route != NONE unless emit_all is set.  Three modes:
   theorem2  triples 2 <= p < q < r, embedding route only
   all       triples 2 <= p < q < r, full dispatch
 
-The per-triple work is dominated by the lattice count, so scans exploit the
-r-independence of the offsets pq - iq - jp: one offset array per (p, q) pair
-serves every r in the box (sum((r*v - 1) // pq) over positive offsets v is
-the below-plane count, and pq | r*v marks the null directions).  Workers
-split the scan by (p, q) pair; each returns rendered rows, and the parent
-concatenates them in task order, so output is byte-identical for any jobs
-count.  Seifert-matrix signatures cross-check the count on every coprime
-p = 2 row small enough (2g <= 240 by default) to stay inside the time
-budget; any disagreement aborts the scan.
+Triples whose route would be NONE are skipped before anything is counted,
+by the predicates of certify's route tables.  The per-triple work is
+dominated by the lattice count, so scans exploit the r-independence of the
+offsets pq - iq - jp: one milnor.positive_offsets array per (p, q) pair
+serves every r in the box.  Workers split the scan by (p, q) pair, at most
+one per CPU; each returns rendered rows, and the parent concatenates them
+in task order, so output is byte-identical for any jobs count.
+Seifert-matrix signatures cross-check the count on every coprime p = 2 row
+small enough (2g <= 240 by default) to stay inside the time budget; any
+disagreement aborts the scan.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from .arith import Triple, quarter_genus_is_odd
+from .arith import Triple
 from .cache import InvariantCache
 from .certify import (
     CSV_HEADER,
@@ -38,9 +38,10 @@ from .certify import (
     certify,
     certify_direct,
     certify_embedding,
+    route_holds,
 )
 from .errors import ConsistencyError, PreconditionError
-from .milnor import MilnorInvariants, from_counts, invariants
+from .milnor import MilnorInvariants, from_counts, offsets_count, positive_offsets
 from .torus_knot import knot_signature_seifert
 
 __all__ = ["MODES", "FORMATS", "SEIFERT_CHECK_LIMIT", "ScanConfig", "run_scan",
@@ -51,10 +52,6 @@ FORMATS = ("json", "csv", "text")
 
 # Largest 2g for which scans cross-check the Seifert route by default.
 SEIFERT_CHECK_LIMIT = 240
-
-# r * pq stays comfortably inside int64 below this; beyond it the scan falls
-# back to the exact per-triple count.
-_INT64_GUARD = 2**62
 
 _TEXT_FMT = "{:>5} {:>5} {:>5}  {:<9}  {:>12} {:>12} {:>10} {:>10}  {:>16}  {:>4}  {}"
 
@@ -86,40 +83,12 @@ class ScanConfig:
             raise PreconditionError(f"jobs must be an integer >= 1, got {self.jobs!r}")
 
 
-def _positive_offsets(p: int, q: int) -> np.ndarray:
-    """Sorted positive values of pq - iq - jp over 1 <= i < p, 1 <= j < q."""
-    i = np.arange(1, p, dtype=np.int64)
-    j = np.arange(1, q, dtype=np.int64)
-    v = (p * q - np.add.outer(i * q, j * p)).ravel()
-    return v[v > 0]
-
-
-def _invariants_from_offsets(p: int, q: int, r: int, v: np.ndarray) -> MilnorInvariants:
-    pq = p * q
-    rv = r * v
-    sigma_plus = 2 * int(((rv - 1) // pq).sum())
-    nullity = 2 * int(np.count_nonzero(rv % pq == 0))
-    return from_counts(p, q, r, sigma_plus, nullity)
-
-
 def _route_decision(p: int, q: int, r: int, mode: str) -> str:
-    """Route a certificate would get, from congruence data alone."""
-    if mode != "theorem2" and p == 2:
-        if (
-            q % 2 == 1
-            and r % 2 == 1
-            and q >= 3
-            and math.gcd(q, r) == 1
-            and quarter_genus_is_odd(q, r)
-        ):
-            return ROUTE_DIRECT
-    if mode != "theorem1":
-        if (
-            math.gcd(p, q) == math.gcd(q, r) == math.gcd(p, r) == 1
-            and 2 <= p < q < r
-            and r >= 7
-        ):
-            return ROUTE_EMBEDDING
+    """Route a certificate would get, from the route tables' predicates."""
+    if mode != "theorem2" and route_holds(ROUTE_DIRECT, p, q, r):
+        return ROUTE_DIRECT
+    if mode != "theorem1" and route_holds(ROUTE_EMBEDDING, p, q, r):
+        return ROUTE_EMBEDDING
     return ROUTE_NONE
 
 
@@ -196,7 +165,6 @@ def _task_certificates(task: tuple[int, int]) -> list[Certificate]:
     cfg = _CFG
     assert cfg is not None
     p, q = task
-    pq = p * q
     offsets = None
     certs = []
     for r in range(q + 1, cfg.r_max + 1):
@@ -206,12 +174,9 @@ def _task_certificates(task: tuple[int, int]) -> list[Certificate]:
         inv = _CACHE.lookup(p, q, r) if _CACHE is not None else None
         fresh = inv is None
         if inv is None:
-            if r * pq < _INT64_GUARD:
-                if offsets is None:
-                    offsets = _positive_offsets(p, q)
-                inv = _invariants_from_offsets(p, q, r, offsets)
-            else:
-                inv = invariants(p, q, r)
+            if offsets is None:
+                offsets = positive_offsets(p, q)
+            inv = from_counts(p, q, r, *offsets_count(p, q, r, offsets))
         cert = _certificate(p, q, r, inv, cfg.mode)
         if cert.route != route:
             raise ConsistencyError(
@@ -242,20 +207,23 @@ def _run(cfg: ScanConfig, render: bool) -> list:
     global _CFG, _CACHE, _CACHE_WRITES
     cache = InvariantCache(cfg.cache_path) if cfg.cache_path else None
     tasks = _tasks(cfg)
+    jobs = min(cfg.jobs, os.cpu_count() or 1, len(tasks))
     worker = _task_rows if render else _task_certificates
     _CFG, _CACHE = cfg, cache
     try:
-        if cfg.jobs == 1:
-            _CACHE_WRITES = cache is not None
+        if jobs <= 1:
+            # A scan asked for more jobs leaves the cache unchanged even
+            # when it runs serially.
+            _CACHE_WRITES = cache is not None and cfg.jobs == 1
             chunks: Iterable[list] = map(worker, tasks)
             out = [item for chunk in chunks for item in chunk]
         else:
             # Workers inherit _CACHE as a read-only snapshot under fork; the
             # parent does not write back rows it never computed.
             _CACHE_WRITES = False
-            chunksize = max(1, len(tasks) // (cfg.jobs * 8))
+            chunksize = max(1, len(tasks) // (jobs * 8))
             with multiprocessing.Pool(
-                cfg.jobs, initializer=_init_worker, initargs=(cfg,)
+                jobs, initializer=_init_worker, initargs=(cfg,)
             ) as pool:
                 out = [
                     item

@@ -1,6 +1,6 @@
 import pytest
 
-from exotwist.arith import Triple, gcd, is_pairwise_coprime, quarter_genus_is_odd
+from exotwist.arith import Triple, is_pairwise_coprime, quarter_genus_is_odd
 from exotwist.errors import PreconditionError
 
 
@@ -8,7 +8,6 @@ class TestTriple:
     def test_fields_and_key(self):
         t = Triple(7, 2, 5)
         assert (t.p, t.q, t.r) == (7, 2, 5)
-        assert t.sorted_key() == (2, 5, 7)
 
     @pytest.mark.parametrize("bad", [(1, 3, 5), (2, 3, 0), (2, -3, 5)])
     def test_rejects_exponents_below_2(self, bad):
@@ -24,17 +23,6 @@ class TestTriple:
         t = Triple(2, 3, 7)
         with pytest.raises(AttributeError):
             t.p = 3
-
-
-class TestGcd:
-    @pytest.mark.parametrize("a,b,want", [(12, 18, 6), (7, 11, 1), (0, 5, 5), (9, 0, 9)])
-    def test_values(self, a, b, want):
-        assert gcd(a, b) == want
-
-    @pytest.mark.parametrize("a,b", [(-4, 6), (4, -6), (0, 0)])
-    def test_rejects_out_of_domain(self, a, b):
-        with pytest.raises(PreconditionError):
-            gcd(a, b)
 
 
 class TestPairwiseCoprime:

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import exotwist.milnor as milnor
 from exotwist.errors import ConsistencyError, PreconditionError
@@ -11,7 +13,6 @@ from exotwist.milnor import (
     brieskorn_count,
     from_counts,
     invariants,
-    is_spin_with_canonical_spinc,
     milnor_number,
 )
 
@@ -36,13 +37,32 @@ def test_count_symmetric_under_permutation(brute_count):
             assert brieskorn_count(*perm) == want
 
 
-def test_python_and_numpy_paths_agree(monkeypatch):
+# brute_count is a pure function, so sharing it across examples is safe
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.tuples(*[st.integers(2, 9)] * 3))
+def test_count_matches_brute_force_under_every_permutation(brute_count, triple):
+    want = brute_count(*triple)
+    for perm in permutations(triple):
+        assert brieskorn_count(*perm) == want
+
+
+def test_int64_and_object_dtype_agree(monkeypatch):
     cases = [(p, q, r) for p in range(2, 12) for q in range(p, 12) for r in range(q, 12)]
-    monkeypatch.setattr(milnor, "_NUMPY_CUTOFF", 1)
-    vectorized = [brieskorn_count(*c) for c in cases]
-    monkeypatch.setattr(milnor, "_NUMPY_CUTOFF", 10**12)
-    scalar = [brieskorn_count(*c) for c in cases]
-    assert vectorized == scalar
+    int64 = [brieskorn_count(*c) for c in cases]
+    monkeypatch.setattr(milnor, "_INT64_GUARD", 1)
+    exact = [brieskorn_count(*c) for c in cases]
+    assert milnor.positive_offsets(3, 4).dtype == object
+    assert exact == int64
+
+
+def test_huge_exponent_takes_the_exact_path():
+    # c*ab far beyond int64; the value is that of the former slab counter
+    want = (1333333333333333333333333333338, 4666666666666666666666666666698, 0)
+    assert brieskorn_count(3, 4, 10**30 + 7) == want
+    assert brieskorn_count(10**30 + 7, 4, 3) == want
 
 
 def test_coprime_triples_have_no_null_directions():
@@ -108,13 +128,7 @@ def test_b_plus_via_lemma_rejects_bad_inputs(q, r):
         b_plus_via_lemma(q, r)
 
 
-def test_spin_predicate_is_constant_true():
-    assert is_spin_with_canonical_spinc(2, 3, 7) is True
-    assert is_spin_with_canonical_spinc(6, 10, 15) is True
-
-
 def test_large_triple_stays_exact():
-    # forces the numpy path and checks mu-consistency internally
     inv = invariants(197, 199, 200)
     assert inv.mu == 196 * 198 * 199
     assert inv.sigma_plus + inv.sigma_minus + inv.nullity == inv.mu

@@ -1,5 +1,8 @@
 import json
 import logging
+import multiprocessing
+import os
+import sys
 
 import pytest
 
@@ -98,6 +101,35 @@ class TestScan:
         serial = run_scan(ScanConfig(jobs=1, **base))
         parallel = run_scan(ScanConfig(jobs=8, **base))
         assert serial == parallel
+
+    def test_jobs_bounded_by_cpus_and_tasks(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            # Records the worker count and runs the tasks in this process.
+            def __init__(self, processes, initializer, initargs):
+                started.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        base = dict(q_max=9, r_max=9, mode="all", format="csv")
+        serial = run_scan(ScanConfig(jobs=1, **base))
+        assert run_scan(ScanConfig(jobs=10**6, **base)) == serial
+        run_scan(ScanConfig(q_max=4, r_max=9, mode="theorem1", jobs=64))  # 2 tasks
+        assert started == [4, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert run_scan(ScanConfig(jobs=8, **base)) == serial
+        assert started == [4, 2]
 
     def test_cache_byte_identical_and_accelerating(self, tmp_path):
         cache_file = tmp_path / "inv.jsonl"
@@ -204,6 +236,20 @@ class TestCli:
         assert main(["certify", "--triple", "2,3,x"]) == 2
         assert main(["certify", "--triple", "1,3,7"]) == 2
         capsys.readouterr()
+
+    def test_internal_defect_has_its_own_exit_code(self, monkeypatch, capsys):
+        # exotwist.certify as a package attribute is the function
+        certify_module = sys.modules["exotwist.certify"]
+        monkeypatch.setattr(certify_module, "b_plus_via_lemma", lambda q, r: -1)
+        for argv in (
+            ["certify", "--triple", "2,3,7"],
+            ["scan", "--mode", "theorem1", "--q-max", "7", "--r-max", "7"],
+        ):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: internal defect: ")
+            assert captured.err.count("\n") == 1
 
     def test_certify_json_output(self, capsys):
         assert main(["certify", "--triple", "2,3,11", "--format", "json"]) == 0
