@@ -9,12 +9,15 @@ Three verbs:
              (both cross-checks and fails loudly on disagreement)
 
 Any verb exits 3 when two independent computations disagree
-(ConsistencyError): that is a defect in the program, never a verdict.
+(ConsistencyError): that is a defect in the program, never a verdict.  A
+stdout closed by its reader (``exotwist certify ... | head -1``) is an I/O
+failure and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .arith import Triple
@@ -143,15 +146,33 @@ def _run_signature(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _silence_stdout() -> None:
+    """Point the stdout descriptor at the null device, so the interpreter's
+    final flush of what is still buffered meets no closed pipe."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # a stdout without a descriptor flushes nowhere
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.verb == "certify":
-            return _run_certify(args, parser)
-        if args.verb == "scan":
-            return _run_scan(args, parser)
-        return _run_signature(args, parser)
+            code = _run_certify(args, parser)
+        elif args.verb == "scan":
+            code = _run_scan(args, parser)
+        else:
+            code = _run_signature(args, parser)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _silence_stdout()
+        return 2
     except ConsistencyError as exc:
         print(f"error: internal defect: {exc}", file=sys.stderr)
         return 3

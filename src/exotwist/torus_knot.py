@@ -2,9 +2,27 @@
 
 Route one builds the fiber surface of the positive braid (s1 s2 ... s_{q-1})^r
 by Seifert's algorithm and takes the signature of the symmetrized Seifert
-form.  Route two reads the same number off the Brieskorn lattice count of the
-double branched cover M(2,q,r).  The two must agree; the library treats any
-disagreement as a defect, not as data.
+form V + V^T.  Route two reads the same number off the Brieskorn lattice count
+of the double branched cover M(2,q,r).  The two must agree; the library treats
+any disagreement as a defect, not as data.
+
+The signature of V + V^T is read off its inertia, computed by symmetric
+elimination in integers alone (fraction-free, after Bareiss 1968).  Splitting
+off a pivot p of a symmetric S leaves In(S) = In(p) + In(S/p), with S/p the
+Schur complement.  Each row of the shrinking complement is a sparse
+{column: value} dict known only up to its own positive factor.  That factor
+never matters: a pivot's sign, the zero pattern and the ratios within a row
+are those of the true complement, and they are all the elimination reads.
+Pivoting on row i turns each row k that meets it into
+sign(p)*(p*row_k - row_k[i]*row_i), a positive multiple of row k of S/p,
+then divides it by its content gcd so the entries stay small.  A zero pivot
+first swaps with the first later nonzero diagonal entry.  When every
+remaining diagonal entry is zero, row i and a mate m with b = S[i][m] != 0
+split off as the block [[0, b], [b, 0]], one positive and one negative
+square.  A row that vanishes is a kernel vector and counts toward the
+nullity.  With bricks ordered by position V + V^T has bandwidth q - 1, and
+pivots taken in order keep the fill inside the band: about n*(q-1)^2
+integer operations for dimension n = (q-1)(r-1).
 
 Sign convention: positive (right-handed) torus knots have negative signature,
 so the trefoil T(2,3) has signature -2.  The convention is locked by the
@@ -15,8 +33,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd as _gcd
+from math import lcm as _lcm
 
 from .errors import (
     ConsistencyError,
@@ -39,8 +57,9 @@ __all__ = [
     "DEFAULT_SEIFERT_DIM_LIMIT",
 ]
 
-# Default cap on the symmetrized-form dimension 2g = (q-1)(r-1); exact
-# elimination is cubic, and the lattice count serves beyond the cap.
+# Default cap on the symmetrized-form dimension n = 2g = (q-1)(r-1); the
+# banded elimination costs about n*w^2 integer operations for bandwidth w,
+# and the lattice count serves beyond the cap.
 DEFAULT_SEIFERT_DIM_LIMIT = 600
 
 
@@ -147,6 +166,17 @@ def seifert_matrix(b: BraidWord) -> SeifertMatrix:
     >>> seifert_matrix(torus_braid(2, 3)).entries
     [[-1, 1], [0, -1]]
     """
+    rows = _seifert_rows(b)
+    n = len(rows)
+    entries = [[0] * n for _ in range(n)]
+    for x, row in enumerate(rows):
+        for y, value in row.items():
+            entries[x][y] = value
+    return SeifertMatrix(n=n, entries=entries)
+
+
+def _seifert_rows(b: BraidWord) -> list[dict[int, int]]:
+    """The nonzero entries of seifert_matrix(b), row by row."""
     if b.components() != 1:
         raise UnsupportedInputError(
             f"braid closure has {b.components()} components; only knots are supported"
@@ -161,8 +191,7 @@ def seifert_matrix(b: BraidWord) -> SeifertMatrix:
         for t0, t1 in zip(occ, occ[1:])
     ]
     bricks.sort(key=lambda brick: brick[1])  # tops are distinct letter positions
-    n = len(bricks)
-    if n != len(b.letters) - b.strands + 1:
+    if len(bricks) != len(b.letters) - b.strands + 1:
         raise ConsistencyError("brick count disagrees with the surface Betti number")
     index_by_col: dict[int, tuple[list[int], list[int]]] = {}
     for idx, (col, t0, _) in enumerate(bricks):
@@ -170,13 +199,13 @@ def seifert_matrix(b: BraidWord) -> SeifertMatrix:
         tops.append(t0)
         idxs.append(idx)
     # per-column brick lists are already sorted by top (bricks was sorted)
-    entries = [[0] * n for _ in range(n)]
+    rows = []
     for x, (col, t0, t1) in enumerate(bricks):
-        entries[x][x] = -1
+        row = {x: -1}
         tops, idxs = index_by_col[col]
         pos = bisect_left(tops, t1)
         if pos < len(tops) and tops[pos] == t1:
-            entries[x][idxs[pos]] = 1  # shares the band at t1
+            row[idxs[pos]] = 1  # shares the band at t1
         for neighbor, sign in ((col + 1, 1), (col - 1, -1)):
             if neighbor not in index_by_col:
                 continue
@@ -186,23 +215,89 @@ def seifert_matrix(b: BraidWord) -> SeifertMatrix:
             for k in range(lo, hi):  # u0 strictly inside (t0, t1)
                 y = nidxs[k]
                 if bricks[y][2] > t1:  # u1 beyond t1: strict interleaving
-                    entries[x][y] = sign
-    return SeifertMatrix(n=n, entries=entries)
+                    row[y] = sign
+        rows.append(row)
+    return rows
+
+
+def _combine(scale: int, row: dict[int, int], terms) -> dict[int, int]:
+    """scale*row - sum(f*other for f, other in terms) without zero entries,
+    divided by its content gcd.  Reuses row."""
+    out = {t: scale * v for t, v in row.items()} if scale != 1 else row
+    for f, other in terms:
+        for t, v in other.items():
+            x = out.get(t, 0) - f * v
+            if x:
+                out[t] = x
+            else:
+                out.pop(t, None)
+    g = _gcd(*out.values())
+    return out if g == 1 else {t: v // g for t, v in out.items()}
+
+
+def _inertia(rows: dict[int, dict[int, int]]) -> SignatureResult:
+    """Inertia of the symmetric form whose row i is rows[i], a dict of its
+    nonzero entries keyed by column, for rows keyed 0..n-1 in order.
+
+    Each row may carry its own positive factor; see the module docstring for
+    the steps.  The dict is consumed.
+    """
+    pos = neg = null = 0
+    for i in range(len(rows)):
+        while i in rows:  # every row before i is eliminated
+            row = rows[i]
+            if not row:
+                del rows[i]  # the row vanishes: a kernel vector
+                null += 1
+                continue
+            # a zero pivot swaps with the first later nonzero diagonal
+            j = i if i in row else next((k for k, rk in rows.items() if k in rk), None)
+            if j is not None:
+                row_j = rows.pop(j)
+                p = row_j.pop(j)
+                if p > 0:
+                    pos, sign = pos + 1, 1
+                else:
+                    neg, sign = neg + 1, -1
+                for k in row_j:
+                    row_k = rows[k]
+                    rows[k] = _combine(sign * p, row_k, ((sign * row_k.pop(j), row_j),))
+                continue
+            # every diagonal entry left is zero: take the 2x2 block
+            # [[0, b], [b, 0]] on i and a mate, one positive and one negative
+            mate = min(row)
+            row_i, row_m = rows.pop(i), rows.pop(mate)
+            b_i, b_m = row_i.pop(mate), row_m.pop(i)
+            pos += 1
+            neg += 1
+            for k in row_i.keys() | row_m.keys():
+                row_k = rows[k]
+                f_i, f_m = row_k.pop(i, 0), row_k.pop(mate, 0)
+                rows[k] = _combine(
+                    b_i * b_m, row_k, ((f_i * b_i, row_m), (f_m * b_m, row_i))
+                )
+    return SignatureResult(
+        signature=pos - neg, nullity=null, positive_count=pos, negative_count=neg
+    )
 
 
 def symmetric_signature(m) -> SignatureResult:
-    """Exact inertia of a symmetric matrix by congruence diagonalization
-    over the rationals.
+    """Exact inertia of a symmetric matrix of integers or fractions.
 
-    A zero diagonal pivot is first repaired by a symmetric swap with a later
-    nonzero diagonal entry, and failing that by the hyperbolic-pair step
-    (add a row and column that meet the pivot row in a nonzero entry).  No
+    Each row is cleared of denominators (a positive row factor) and handed
+    to the integer elimination described in the module docstring.  No
     floating point anywhere.
 
     >>> symmetric_signature([[1, 0], [0, -1]])
     SignatureResult(signature=0, nullity=0, positive_count=1, negative_count=1)
     >>> symmetric_signature([[0, 1], [1, 0]]).nullity
     0
+
+    With a zero diagonal throughout, the 2x2 step takes a hyperbolic pair,
+    and what remains of the third row vanishes:
+
+    >>> symmetric_signature([[0, 1, 0], [1, 0, 2], [0, 2, 0]])
+    SignatureResult(signature=0, nullity=1, positive_count=1, negative_count=1)
     """
     n = len(m)
     for row in m:
@@ -212,40 +307,14 @@ def symmetric_signature(m) -> SignatureResult:
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise PreconditionError(f"matrix is not symmetric at ({i}, {j})")
-    a = [[Fraction(x) for x in row] for row in m]
-    pos = neg = null = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            swap = next((k for k in range(i + 1, n) if a[k][k] != 0), None)
-            if swap is not None:
-                a[i], a[swap] = a[swap], a[i]
-                for row in a:
-                    row[i], row[swap] = row[swap], row[i]
-            else:
-                mate = next((k for k in range(i + 1, n) if a[i][k] != 0), None)
-                if mate is None:
-                    null += 1  # row vanishes on the active block: kernel vector
-                    continue
-                # e_i <- e_i + e_mate turns the diagonal entry into 2*a[i][mate]
-                for t in range(i, n):
-                    a[i][t] += a[mate][t]
-                for t in range(i, n):
-                    a[t][i] += a[t][mate]
-        pivot = a[i][i]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        row_i = a[i]
-        active = [t for t in range(i + 1, n) if row_i[t] != 0]
-        for k in active:
-            factor = row_i[k] / pivot
-            row_k = a[k]
-            for t in active:
-                row_k[t] -= factor * row_i[t]
-    return SignatureResult(
-        signature=pos - neg, nullity=null, positive_count=pos, negative_count=neg
-    )
+    rows = {}
+    for i, row in enumerate(m):
+        try:
+            den = _lcm(*(x.denominator for x in row))
+        except AttributeError:
+            raise PreconditionError("matrix entries must be integers or fractions") from None
+        rows[i] = {j: int(x * den) for j, x in enumerate(row) if x}
+    return _inertia(rows)
 
 
 def knot_signature_seifert(q: int, r: int, *, dim_limit: int = DEFAULT_SEIFERT_DIM_LIMIT) -> int:
@@ -264,10 +333,15 @@ def knot_signature_seifert(q: int, r: int, *, dim_limit: int = DEFAULT_SEIFERT_D
         raise DimensionLimitError(
             f"symmetrized Seifert form of T({q},{r}) has dimension {dim} > limit {dim_limit}"
         )
-    v = seifert_matrix(torus_braid(q, r)).entries
-    n = len(v)
-    sym = [[v[i][j] + v[j][i] for j in range(n)] for i in range(n)]
-    return symmetric_signature(sym).signature
+    v = _seifert_rows(torus_braid(q, r))
+    sym: dict[int, dict[int, int]] = {x: {} for x in range(len(v))}
+    for x, row in enumerate(v):
+        for y, value in row.items():
+            sym[x][y] = sym[x].get(y, 0) + value
+            sym[y][x] = sym[y].get(x, 0) + value
+    for x, row in sym.items():
+        sym[x] = {y: value for y, value in row.items() if value}
+    return _inertia(sym).signature
 
 
 def knot_signature_count(q: int, r: int) -> int:

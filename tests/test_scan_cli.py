@@ -1,17 +1,21 @@
+import io
 import json
 import logging
 import multiprocessing
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import exotwist.cache
+import exotwist.scan
 from exotwist.arith import Triple
 from exotwist.cache import FORMULA_VERSION, InvariantCache
 from exotwist.certify import CSV_HEADER, Certificate, certify
 from exotwist.cli import main
-from exotwist.errors import PreconditionError
+from exotwist.errors import ConsistencyError, PreconditionError
 from exotwist.milnor import invariants
 from exotwist.scan import ScanConfig, run_scan, scan_certificates
 
@@ -130,6 +134,19 @@ class TestScan:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert run_scan(ScanConfig(jobs=8, **base)) == serial
         assert started == [4, 2]
+
+    def test_seifert_disagreement_aborts_the_scan(self, monkeypatch, capsys):
+        real = exotwist.scan.knot_signature_seifert
+        monkeypatch.setattr(
+            exotwist.scan, "knot_signature_seifert",
+            lambda q, r, **kw: real(q, r, **kw) + 8,
+        )
+        with pytest.raises(ConsistencyError, match="Seifert"):
+            run_scan(ScanConfig(q_max=7, r_max=11, mode="theorem1", format="csv"))
+        assert main(["scan", "--mode", "theorem1", "--q-max", "7", "--r-max", "11"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal defect: ")
 
     def test_cache_byte_identical_and_accelerating(self, tmp_path):
         cache_file = tmp_path / "inv.jsonl"
@@ -250,6 +267,35 @@ class TestCli:
             assert captured.out == ""
             assert captured.err.startswith("error: internal defect: ")
             assert captured.err.count("\n") == 1
+
+    def test_closed_stdout_is_an_io_error(self, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        for argv in (
+            ["certify", "--triple", "2,3,7"],
+            ["certify", "--triple", "3,4,5", "--format", "json"],
+            ["scan", "--mode", "theorem1", "--q-max", "7", "--r-max", "7"],
+            ["signature", "--torus", "3", "7"],
+        ):
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(argv) == 2, argv
+
+    def test_closed_pipe_exits_quietly(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "exotwist.cli", "certify", "--triple", "2,3,7"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # no reader is left before the first write
+        try:
+            err = proc.stderr.read()
+        finally:
+            proc.stderr.close()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (2, b"")
 
     def test_certify_json_output(self, capsys):
         assert main(["certify", "--triple", "2,3,11", "--format", "json"]) == 0

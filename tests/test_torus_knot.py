@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from exotwist.errors import (
     DimensionLimitError,
@@ -9,6 +12,7 @@ from exotwist.errors import (
     UnsupportedInputError,
 )
 from exotwist.torus_knot import (
+    DEFAULT_SEIFERT_DIM_LIMIT,
     BraidWord,
     knot_signature_count,
     knot_signature_seifert,
@@ -119,6 +123,46 @@ class TestSymmetricSignature:
             assert symmetric_signature(doubled) == symmetric_signature(a)
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """Small symmetric integer matrices, often with a zero diagonal (which
+    reaches the 2x2 step) or a repeated row and column (singular)."""
+    n = draw(st.integers(0, 7))
+    zero_diagonal = draw(st.booleans())
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                a[i][j] = a[j][i] = draw(st.integers(-3, 3))
+    if n >= 2 and draw(st.booleans()):
+        # column k repeats column 0, so e_0 - e_k lies in the kernel
+        k = draw(st.integers(1, n - 1))
+        for t in range(n):
+            a[t][k] = a[k][t] = a[t][0]
+    return a
+
+
+# charpoly_inertia is a pure function, so sharing it across examples is safe
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(symmetric_matrices())
+def test_inertia_matches_characteristic_polynomial(charpoly_inertia, a):
+    res = symmetric_signature(a)
+    want = charpoly_inertia(a)
+    assert (res.positive_count, res.negative_count, res.nullity) == want
+    assert res.signature == want[0] - want[1]
+
+
+def test_fractions_are_cleared_row_by_row():
+    half = Fraction(1, 2)
+    res = symmetric_signature([[half, 1], [1, Fraction(-1, 3)]])
+    assert (res.positive_count, res.negative_count, res.nullity) == (1, 1, 0)
+    with pytest.raises(PreconditionError):
+        symmetric_signature([[0.5]])
+
+
 class TestKnotSignature:
     @pytest.mark.parametrize(
         "q,r,want",
@@ -138,6 +182,12 @@ class TestKnotSignature:
                 if math.gcd(q, r) != 1 or (q - 1) * (r - 1) > 100:
                     continue
                 assert knot_signature_seifert(q, r) == knot_signature_count(q, r)
+
+    @pytest.mark.parametrize("q,r", [(25, 26), (21, 31), (3, 301), (2, 601)])
+    def test_methods_agree_at_the_dimension_cap(self, q, r):
+        # the largest forms the default cap admits, where entries grow most
+        assert (q - 1) * (r - 1) == DEFAULT_SEIFERT_DIM_LIMIT
+        assert knot_signature_seifert(q, r) == knot_signature_count(q, r)
 
     def test_divisible_by_8_for_odd_pairs(self):
         for q in range(3, 16, 2):
