@@ -13,7 +13,8 @@ ledger.
 The b+ = 2 (mod 4) condition is computed three ways (lattice count, genus
 plus half signature, quarter-genus parity); any disagreement raises
 ConsistencyError because it would falsify the arithmetic chain the
-certificates rest on.
+certificates rest on.  direct_checks holds these checks and the ledger
+run, for certify_direct and the scan's rows alike.
 
 Each route's conditions on the triple live in one table (DIRECT_TABLE,
 EMBEDDING_TABLE).  The certificate builders format its rows into
@@ -31,24 +32,13 @@ from typing import Callable
 
 from .arith import Triple, quarter_genus_is_odd
 from .errors import ConsistencyError, PreconditionError
-from .ko_ring import exoticness_ledger
+from .ko_ring import LedgerReport, exoticness_ledger
 from .milnor import MilnorInvariants, b_plus_via_lemma, invariants
 
-__all__ = [
-    "ROUTE_DIRECT",
-    "ROUTE_EMBEDDING",
-    "ROUTE_NONE",
-    "Condition",
-    "Certificate",
-    "certify_direct",
-    "certify_embedding",
-    "certify",
-    "route_holds",
-    "CSV_HEADER",
-    "DIRECT_GATE",
-    "DIRECT_TABLE",
-    "EMBEDDING_TABLE",
-]
+__all__ = ["ROUTE_DIRECT", "ROUTE_EMBEDDING", "ROUTE_NONE", "Condition", "Certificate",
+           "certify_direct", "certify_embedding", "certify", "route_holds", "direct_checks",
+           "CSV_HEADER", "DIRECT_GATE", "DIRECT_TABLE", "DIRECT_B_PLUS", "DIRECT_LEDGER",
+           "EMBEDDING_TABLE"]
 
 ROUTE_DIRECT = "DIRECT"
 ROUTE_EMBEDDING = "EMBEDDING"
@@ -218,10 +208,10 @@ DIRECT_TABLE: tuple[ConditionRow, ...] = (
 )
 
 # Direct-route conditions on the invariants, (name, expected).  By the
-# consistency checks in certify_direct they hold exactly when the
+# consistency checks in direct_checks they hold exactly when the
 # quarter-genus row does.
-_DIRECT_B_PLUS = ("direct.b_plus_2_mod_4", "b+ = 2 (mod 4), two independent routes")
-_DIRECT_LEDGER = ("direct.ledger_flip", "framing change flips the torsion coordinate")
+DIRECT_B_PLUS = ("direct.b_plus_2_mod_4", "b+ = 2 (mod 4), two independent routes")
+DIRECT_LEDGER = ("direct.ledger_flip", "framing change flips the torsion coordinate")
 
 EMBEDDING_TABLE: tuple[ConditionRow, ...] = (
     (
@@ -263,6 +253,28 @@ def _condition(row: ConditionRow, p: int, q: int, r: int) -> Condition:
     return Condition(name, expected, actual(p, q, r), holds(p, q, r))
 
 
+def direct_checks(q: int, r: int, b_plus: int, parity: bool) -> tuple[int, LedgerReport]:
+    """The direct route's checks on the count's b+ of M_c(2,q,r), for q, r
+    that meet DIRECT_TABLE's prerequisite rows, and parity its last row.
+
+    Raises ConsistencyError unless b_plus = g + sigma/2 by the genus route
+    and parity holds exactly when b_plus = 2 (mod 4).  Returns the genus
+    route's b+ and the ledger run on b_plus.
+    """
+    b_lemma = b_plus_via_lemma(q, r)
+    if b_plus != b_lemma:
+        raise ConsistencyError(
+            f"b+ of M_c(2,{q},{r}) disagrees between count ({b_plus}) and "
+            f"genus route ({b_lemma})"
+        )
+    if (b_plus % 4 == 2) != parity:
+        raise ConsistencyError(
+            f"quarter-genus parity ({parity}) disagrees with b+ mod 4 "
+            f"({b_plus} mod 4 = {b_plus % 4}) for (2,{q},{r})"
+        )
+    return b_lemma, exoticness_ledger(b_plus, psi0_is_unit=True)
+
+
 def certify_direct(q: int, r: int, *, _inv: MilnorInvariants | None = None) -> Certificate:
     """Certify the boundary twist of M_c(2,q,r) by the quarter-genus route.
 
@@ -280,26 +292,14 @@ def certify_direct(q: int, r: int, *, _inv: MilnorInvariants | None = None) -> C
     notes = [NOTE_SPIN]
     if prereqs_ok:
         conditions.append(_condition(parity_row, 2, q, r))
-        parity = conditions[-1].ok
         b_plus = inv.sigma_plus
-        b_lemma = b_plus_via_lemma(q, r)
-        if b_plus != b_lemma:
-            raise ConsistencyError(
-                f"b+ of M_c(2,{q},{r}) disagrees between count ({b_plus}) and "
-                f"genus route ({b_lemma})"
-            )
-        if (b_plus % 4 == 2) != parity:
-            raise ConsistencyError(
-                f"quarter-genus parity ({parity}) disagrees with b+ mod 4 "
-                f"({b_plus} mod 4 = {b_plus % 4}) for (2,{q},{r})"
-            )
+        b_lemma, ledger = direct_checks(q, r, b_plus, conditions[-1].ok)
         conditions.append(
             Condition(
-                *_DIRECT_B_PLUS, f"b+ = {b_plus} (count) = {b_lemma} (genus route)",
+                *DIRECT_B_PLUS, f"b+ = {b_plus} (count) = {b_lemma} (genus route)",
                 b_plus % 4 == 2,
             )
         )
-        ledger = exoticness_ledger(b_plus, psi0_is_unit=True)
         if ledger.failed_hypothesis is not None:
             actual = f"ledger hypothesis failed: {ledger.failed_hypothesis}"
         else:
@@ -307,11 +307,11 @@ def certify_direct(q: int, r: int, *, _inv: MilnorInvariants | None = None) -> C
                 f"torsion {ledger.pulled_back.t} (pulled back) vs "
                 f"{ledger.twisted.t} (re-framed)"
             )
-        conditions.append(Condition(*_DIRECT_LEDGER, actual, ledger.exotic))
+        conditions.append(Condition(*DIRECT_LEDGER, actual, ledger.exotic))
         eigenspace_dim = b_plus
     else:
         unevaluated = "not evaluated (prerequisites failed)"
-        for cname, expectation in (parity_row[:2], _DIRECT_B_PLUS, _DIRECT_LEDGER):
+        for cname, expectation in (parity_row[:2], DIRECT_B_PLUS, DIRECT_LEDGER):
             conditions.append(Condition(cname, expectation, unevaluated, False))
     route = ROUTE_DIRECT if all(c.ok for c in conditions) else ROUTE_NONE
     if route == ROUTE_DIRECT:

@@ -4,12 +4,14 @@ Three verbs:
 
   certify    one triple; exit 0 when a route certifies, 1 on NONE, 2 on
              invalid input
-  scan       every triple in a box, emitted as csv/json/text rows
+  scan       every triple in a box, as csv/json/text rows written task by task
   signature  torus-knot signature by lattice count, Seifert matrix, or both
-             (both cross-checks and fails loudly on disagreement)
+             (both cross-checks and fails loudly on disagreement; past the
+             Seifert dimension cap it marks the Seifert line skipped)
 
 Any verb exits 3 when two independent computations disagree
-(ConsistencyError): that is a defect in the program, never a verdict.  A
+(ConsistencyError): that is a defect in the program, never a verdict; rows a
+scan printed before the defect stand, but its table is incomplete.  A
 stdout closed by its reader (``exotwist certify ... | head -1``) is an I/O
 failure and exits 2.
 """
@@ -23,8 +25,8 @@ import sys
 from .arith import Triple
 from .certify import CSV_HEADER, ROUTE_NONE, certify
 from .errors import ConsistencyError, DimensionLimitError, PreconditionError
-from .scan import FORMATS, MODES, ScanConfig, run_scan
-from .torus_knot import knot_signature_count, knot_signature_seifert
+from .scan import FORMATS, MODES, ScanConfig, stream_scan
+from .torus_knot import DEFAULT_SEIFERT_DIM_LIMIT, knot_signature_count, knot_signature_seifert
 
 __all__ = ["main"]
 
@@ -108,11 +110,12 @@ def _run_scan(args, parser: argparse.ArgumentParser) -> int:
     except PreconditionError as exc:
         parser.error(str(exc))
     try:
-        table = run_scan(config)
+        stream_scan(config, sys.stdout.write)
+    except BrokenPipeError:
+        raise  # a closed stdout, handled in main
     except OSError as exc:
         print(f"error: scan I/O failed: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(table)
     return 0
 
 
@@ -127,14 +130,19 @@ def _run_signature(args, parser: argparse.ArgumentParser) -> int:
     except PreconditionError as exc:
         parser.error(str(exc))
     except DimensionLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if args.method == "seifert":
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.method == "count":
         print(by_count)
     elif args.method == "seifert":
         print(by_seifert)
     else:
         print(f"count    {by_count}")
+        if by_seifert is None:
+            dim = (q - 1) * (r - 1)
+            print(f"seifert  skipped (dimension {dim} > limit {DEFAULT_SEIFERT_DIM_LIMIT})")
+            return 0
         print(f"seifert  {by_seifert}")
         if by_count != by_seifert:
             print(

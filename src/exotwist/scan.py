@@ -1,51 +1,49 @@
 """Range scans: certify every triple in a box and emit a table.
 
-Triples are enumerated in lexicographic order and certified one by one; rows
-are emitted for route != NONE unless emit_all is set.  Three modes:
+Triples are enumerated in lexicographic order; rows are emitted for
+route != NONE unless emit_all is set.  Three modes:
 
   theorem1  pairs 3 <= q < r (p = 2 implied), quarter-genus route only
   theorem2  triples 2 <= p < q < r, embedding route only
   all       triples 2 <= p < q < r, full dispatch
 
-Triples whose route would be NONE are skipped before anything is counted,
-by the predicates of certify's route tables.  The per-triple work is
-dominated by the lattice count, so scans exploit the r-independence of the
-offsets pq - iq - jp: one milnor.positive_offsets array per (p, q) pair
-serves every r in the box.  Workers split the scan by (p, q) pair, at most
-one per CPU; each returns rendered rows, and the parent concatenates them
-in task order, so output is byte-identical for any jobs count.
-Seifert-matrix signatures cross-check the count on every coprime p = 2 row
-small enough (2g <= 240 by default) to stay inside the time budget; any
-disagreement aborts the scan.
+The route tables' predicates skip NONE triples before anything is counted.
+A task is one (p, q) pair: one milnor.positive_offsets array serves all its
+r values, and the r values it emits are counted in one batched
+milnor.offsets_count call.  A CSV or text row is built straight from the
+integers and the route tables (failed-condition names, d3 reduced from its
+numerator over 4); every p = 2 row whose direct prerequisites hold goes
+through certify.direct_checks, and a row the precheck routes DIRECT whose
+b+ is not 2 mod 4 or whose ledger does not flip aborts the scan.  JSON rows
+and scan_certificates build full certificates through certify.
+
+stream_scan hands each task's rendered rows to a writer as soon as the task
+is done, in task order, so the scan holds one task's rows at a time (the
+CSV and text header goes with the first task).  Workers, at most one per
+CPU, run the tasks under Pool.imap, so output is byte-identical for any
+jobs count; an error in a task or in the writer ends the pool.  A Seifert
+matrix cross-checks sigma on every coprime p = 2 row with 2g <= 240 (by
+default); any disagreement aborts the scan.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable
 
 from .arith import Triple
 from .cache import InvariantCache
-from .certify import (
-    CSV_HEADER,
-    ROUTE_DIRECT,
-    ROUTE_EMBEDDING,
-    ROUTE_NONE,
-    Certificate,
-    certify,
-    certify_direct,
-    certify_embedding,
-    route_holds,
-)
+from .certify import (CSV_HEADER, DIRECT_B_PLUS, DIRECT_GATE, DIRECT_LEDGER, DIRECT_TABLE,
+                      EMBEDDING_TABLE, ROUTE_DIRECT, ROUTE_EMBEDDING, ROUTE_NONE, Certificate,
+                      certify, certify_direct, certify_embedding, direct_checks, route_holds)
 from .errors import ConsistencyError, PreconditionError
-from .milnor import MilnorInvariants, from_counts, offsets_count, positive_offsets
+from .milnor import checked_inertia, d3_text, from_counts, offsets_count, positive_offsets
 from .torus_knot import knot_signature_seifert
 
 __all__ = ["MODES", "FORMATS", "SEIFERT_CHECK_LIMIT", "ScanConfig", "run_scan",
-           "scan_certificates"]
+           "stream_scan", "scan_certificates"]
 
 MODES = ("theorem1", "theorem2", "all")
 FORMATS = ("json", "csv", "text")
@@ -54,6 +52,11 @@ FORMATS = ("json", "csv", "text")
 SEIFERT_CHECK_LIMIT = 240
 
 _TEXT_FMT = "{:>5} {:>5} {:>5}  {:<9}  {:>12} {:>12} {:>10} {:>10}  {:>16}  {:>4}  {}"
+
+# The direct table's prerequisite rows and its last row, evaluated only once
+# they hold; then the names of the three conditions that need them.
+_DIRECT_PREREQS, _DIRECT_PARITY = DIRECT_TABLE[:-1], DIRECT_TABLE[-1]
+_DIRECT_DEPENDENT = (_DIRECT_PARITY[0], DIRECT_B_PLUS[0], DIRECT_LEDGER[0])
 
 
 @dataclass(frozen=True)
@@ -83,51 +86,6 @@ class ScanConfig:
             raise PreconditionError(f"jobs must be an integer >= 1, got {self.jobs!r}")
 
 
-def _route_decision(p: int, q: int, r: int, mode: str) -> str:
-    """Route a certificate would get, from the route tables' predicates."""
-    if mode != "theorem2" and route_holds(ROUTE_DIRECT, p, q, r):
-        return ROUTE_DIRECT
-    if mode != "theorem1" and route_holds(ROUTE_EMBEDDING, p, q, r):
-        return ROUTE_EMBEDDING
-    return ROUTE_NONE
-
-
-def _certificate(p: int, q: int, r: int, inv: MilnorInvariants, mode: str) -> Certificate:
-    if mode == "theorem1":
-        return certify_direct(q, r, _inv=inv)
-    if mode == "theorem2":
-        return certify_embedding(p, q, r, _inv=inv)
-    return certify(Triple(p, q, r), _inv=inv)
-
-
-def _render_row(cert: Certificate, fmt: str) -> str:
-    if fmt == "csv":
-        return cert.to_csv_row()
-    if fmt == "json":
-        return cert.to_json()
-    inv = cert.invariants
-    eigen = "" if cert.eigenspace_dim is None else cert.eigenspace_dim
-    failed = ";".join(c.name for c in cert.failed_conditions())
-    return _TEXT_FMT.format(
-        cert.triple.p, cert.triple.q, cert.triple.r, cert.route,
-        inv.mu, inv.sigma, inv.sigma_plus, inv.sigma_minus,
-        str(inv.d3), eigen, failed,
-    ).rstrip()
-
-
-def _table(rows: list[str], fmt: str) -> str:
-    if fmt == "json":
-        return "".join(row + "\n" for row in rows)
-    if fmt == "csv":
-        header = CSV_HEADER
-    else:
-        header = _TEXT_FMT.format(
-            "p", "q", "r", "route", "mu", "sigma", "b_plus", "b_minus",
-            "d3", "dim", "conditions_failed",
-        ).rstrip()
-    return "\n".join([header, *rows]) + "\n"
-
-
 # Per-process scan state.  The parent sets these before forking (or via the
 # pool initializer); workers treat the cache as a read-only snapshot and only
 # the parent ever writes back.
@@ -142,12 +100,86 @@ def _init_worker(cfg: ScanConfig) -> None:
     _CACHE_WRITES = False
 
 
-def _seifert_cross_check(q: int, r: int, inv: MilnorInvariants, cfg: ScanConfig) -> None:
+def _route_decision(p: int, q: int, r: int, mode: str) -> str:
+    """Route a certificate would get, from the route tables' predicates."""
+    if mode != "theorem2" and route_holds(ROUTE_DIRECT, p, q, r):
+        return ROUTE_DIRECT
+    if mode != "theorem1" and route_holds(ROUTE_EMBEDDING, p, q, r):
+        return ROUTE_EMBEDDING
+    return ROUTE_NONE
+
+
+def _failed(rows, p: int, q: int, r: int) -> list[str]:
+    return [row[0] for row in rows if not row[3](p, q, r)]
+
+
+def _direct_verdict(q: int, r: int, b_plus: int, route: str) -> tuple[list[str], int | None]:
+    """Failed direct-route condition names of (2, q, r) and the eigenspace
+    dimension the direct route records, as certify_direct finds them."""
+    failed = _failed(_DIRECT_PREREQS, 2, q, r)
+    if failed:
+        return failed + list(_DIRECT_DEPENDENT), None
+    parity = _DIRECT_PARITY[3](2, q, r)
+    _, ledger = direct_checks(q, r, b_plus, parity)
+    if route == ROUTE_DIRECT and (b_plus % 4 != 2 or not ledger.exotic):
+        raise ConsistencyError(
+            f"route precheck says DIRECT for (2,{q},{r}), but b+ = {b_plus} and "
+            f"the ledger {'flips' if ledger.exotic else 'does not flip'}"
+        )
+    oks = (parity, b_plus % 4 == 2, ledger.exotic)
+    return [name for name, ok in zip(_DIRECT_DEPENDENT, oks) if not ok], b_plus
+
+
+def _row(p: int, q: int, r: int, route: str, inertia: tuple, _cached) -> str:
+    """The CSV or text row of a triple, from its inertia and the route tables."""
+    cfg = _CFG
+    mu, b_plus, b_minus, _, sigma = inertia
+    failed: list[str] = []
+    eigen: int | None = None
+    if cfg.mode != "theorem2":
+        if p == 2:
+            failed, eigen = _direct_verdict(q, r, b_plus, route)
+        else:
+            failed = [DIRECT_GATE[0]]
+    if route == ROUTE_EMBEDDING:
+        eigen = 2
+    elif route == ROUTE_NONE and cfg.mode != "theorem1":
+        failed += _failed(EMBEDDING_TABLE, p, q, r)
+    fields = (p, q, r, route, mu, sigma, b_plus, b_minus, d3_text(sigma, b_plus),
+              "" if eigen is None else eigen, ";".join(failed))
+    if cfg.format == "csv":
+        return ",".join(map(str, fields))
+    return _TEXT_FMT.format(*fields).rstrip()
+
+
+def _certificate(p: int, q: int, r: int, route: str, inertia: tuple, cached) -> Certificate:
+    inv = cached if cached is not None else from_counts(p, q, r, inertia[1], inertia[3])
+    if _CFG.mode == "theorem1":
+        cert = certify_direct(q, r, _inv=inv)
+    elif _CFG.mode == "theorem2":
+        cert = certify_embedding(p, q, r, _inv=inv)
+    else:
+        cert = certify(Triple(p, q, r), _inv=inv)
+    if cert.route != route:
+        raise ConsistencyError(
+            f"route precheck {route} disagrees with certificate "
+            f"{cert.route} for ({p},{q},{r})"
+        )
+    return cert
+
+
+def _header(fmt: str) -> str:
+    if fmt != "text":
+        return CSV_HEADER + "\n" if fmt == "csv" else ""
+    columns = CSV_HEADER.replace("eigenspace_dim", "dim").split(",")
+    return _TEXT_FMT.format(*columns).rstrip() + "\n"
+
+
+def _seifert_cross_check(q: int, r: int, sig_count: int, cfg: ScanConfig) -> None:
     """Recompute sigma(T(q,r)) from a Seifert matrix and compare."""
     two_g = (q - 1) * (r - 1)
     if two_g > SEIFERT_CHECK_LIMIT and not cfg.force_seifert_check:
         return
-    sig_count = inv.sigma
     sig_seifert = _CACHE.lookup_signature(q, r, "seifert") if _CACHE else None
     fresh = sig_seifert is None
     if sig_seifert is None:
@@ -161,39 +193,48 @@ def _seifert_cross_check(q: int, r: int, inv: MilnorInvariants, cfg: ScanConfig)
         _CACHE.store_signature(q, r, sig_count=sig_count, sig_seifert=sig_seifert)
 
 
-def _task_certificates(task: tuple[int, int]) -> list[Certificate]:
+def _task(task: tuple[int, int], build: Callable) -> list:
+    """build(p, q, r, route, inertia, cached) for each triple the task
+    emits, where inertia is (mu, b+, b-, nullity, sigma) and cached the
+    cache's record of the triple or None.  The triples the cache lacks are
+    counted in one batch."""
     cfg = _CFG
     assert cfg is not None
     p, q = task
-    offsets = None
-    certs = []
+    emitted = []
     for r in range(q + 1, cfg.r_max + 1):
         route = _route_decision(p, q, r, cfg.mode)
-        if route == ROUTE_NONE and not cfg.emit_all:
-            continue
-        inv = _CACHE.lookup(p, q, r) if _CACHE is not None else None
-        fresh = inv is None
-        if inv is None:
-            if offsets is None:
-                offsets = positive_offsets(p, q)
-            inv = from_counts(p, q, r, *offsets_count(p, q, r, offsets))
-        cert = _certificate(p, q, r, inv, cfg.mode)
-        if cert.route != route:
-            raise ConsistencyError(
-                f"route precheck {route} disagrees with certificate "
-                f"{cert.route} for ({p},{q},{r})"
-            )
+        if route != ROUTE_NONE or cfg.emit_all:
+            emitted.append((r, route, _CACHE.lookup(p, q, r) if _CACHE is not None else None))
+    missing = [r for r, _, cached in emitted if cached is None]
+    if missing:
+        counts = zip(*offsets_count(p, q, missing, positive_offsets(p, q)))
+    out = []
+    for r, route, cached in emitted:
+        if cached is None:
+            b_plus, nullity = next(counts)
+            inertia = checked_inertia(p, q, r, b_plus, nullity)
+        else:
+            inertia = (cached.mu, cached.sigma_plus, cached.sigma_minus, cached.nullity,
+                       cached.sigma)
+        out.append(build(p, q, r, route, inertia, cached))
         if p == 2 and math.gcd(q, r) == 1:
-            _seifert_cross_check(q, r, inv, cfg)
-        if fresh and _CACHE is not None and _CACHE_WRITES:
-            _CACHE.store(p, q, r, inv)
-        certs.append(cert)
-    return certs
+            _seifert_cross_check(q, r, inertia[4], cfg)
+        if cached is None and _CACHE is not None and _CACHE_WRITES:
+            _CACHE.store(p, q, r, from_counts(p, q, r, inertia[1], inertia[3]))
+    return out
 
 
-def _task_rows(task: tuple[int, int]) -> list[str]:
-    assert _CFG is not None
-    return [_render_row(cert, _CFG.format) for cert in _task_certificates(task)]
+def _task_certificates(task: tuple[int, int]) -> list[Certificate]:
+    return _task(task, _certificate)
+
+
+def _task_json(task: tuple[int, int]) -> str:
+    return "".join(cert.to_json() + "\n" for cert in _task_certificates(task))
+
+
+def _task_rows(task: tuple[int, int]) -> str:
+    return "".join(row + "\n" for row in _task(task, _row))
 
 
 def _tasks(cfg: ScanConfig) -> list[tuple[int, int]]:
@@ -203,21 +244,25 @@ def _tasks(cfg: ScanConfig) -> list[tuple[int, int]]:
     return [(p, q) for p in range(2, p_cap + 1) for q in range(p + 1, cfg.q_max + 1)]
 
 
-def _run(cfg: ScanConfig, render: bool) -> list:
+def _run(cfg: ScanConfig, worker: Callable, emit: Callable) -> None:
+    """emit(worker(task)) for every task, in task order.
+
+    An exception from a task or from emit ends the pool (terminating and
+    joining its workers) before it propagates."""
     global _CFG, _CACHE, _CACHE_WRITES
     cache = InvariantCache(cfg.cache_path) if cfg.cache_path else None
     tasks = _tasks(cfg)
     jobs = min(cfg.jobs, os.cpu_count() or 1, len(tasks))
-    worker = _task_rows if render else _task_certificates
     _CFG, _CACHE = cfg, cache
     try:
         if jobs <= 1:
             # A scan asked for more jobs leaves the cache unchanged even
             # when it runs serially.
             _CACHE_WRITES = cache is not None and cfg.jobs == 1
-            chunks: Iterable[list] = map(worker, tasks)
-            out = [item for chunk in chunks for item in chunk]
+            for out in map(worker, tasks):
+                emit(out)
         else:
+            import multiprocessing  # here, so a serial scan or certify never loads it
             # Workers inherit _CACHE as a read-only snapshot under fork; the
             # parent does not write back rows it never computed.
             _CACHE_WRITES = False
@@ -225,21 +270,39 @@ def _run(cfg: ScanConfig, render: bool) -> list:
             with multiprocessing.Pool(
                 jobs, initializer=_init_worker, initargs=(cfg,)
             ) as pool:
-                out = [
-                    item
-                    for chunk in pool.imap(worker, tasks, chunksize=chunksize)
-                    for item in chunk
-                ]
+                for out in pool.imap(worker, tasks, chunksize=chunksize):
+                    emit(out)
         if cache is not None:
             cache.flush()
     finally:
         _CFG, _CACHE, _CACHE_WRITES = None, None, False
-    return out
 
 
 def scan_certificates(config: ScanConfig) -> list[Certificate]:
     """The scan as a list of certificates, in emission order."""
-    return _run(config, render=False)
+    certs: list[Certificate] = []
+    _run(config, _task_certificates, certs.extend)
+    return certs
+
+
+def stream_scan(config: ScanConfig, write: Callable[[str], object]) -> None:
+    """Run the scan and pass the rendered table to write, one task's rows at
+    a time, in task order.
+
+    The CSV and text header goes out with the first task's rows, so a scan
+    that fails in its first task writes nothing.
+    """
+    worker = _task_json if config.format == "json" else _task_rows
+    header = _header(config.format)
+
+    def emit(rows: str) -> None:
+        nonlocal header
+        write(header + rows)
+        header = ""
+
+    _run(config, worker, emit)
+    if header:
+        write(header)
 
 
 def run_scan(config: ScanConfig) -> str:
@@ -248,4 +311,6 @@ def run_scan(config: ScanConfig) -> str:
     CSV and text include a header line even when no triple certifies; JSON
     output is one certificate object per line.
     """
-    return _table(_run(config, render=True), config.format)
+    parts: list[str] = []
+    stream_scan(config, parts.append)
+    return "".join(parts)

@@ -51,11 +51,32 @@ def test_count_matches_brute_force_under_every_permutation(brute_count, triple):
 
 def test_int64_and_object_dtype_agree(monkeypatch):
     cases = [(p, q, r) for p in range(2, 12) for q in range(p, 12) for r in range(q, 12)]
-    int64 = [brieskorn_count(*c) for c in cases]
+    pairs = [(a, b) for a in range(2, 12) for b in range(a, 12)]
+
+    def batched():
+        # every c of a pair in one call, as a scan does it
+        return [
+            milnor.offsets_count(a, b, list(range(b, 40)), milnor.positive_offsets(a, b))
+            for a, b in pairs
+        ]
+
+    int64, int64_batched = [brieskorn_count(*c) for c in cases], batched()
     monkeypatch.setattr(milnor, "_INT64_GUARD", 1)
-    exact = [brieskorn_count(*c) for c in cases]
+    exact, exact_batched = [brieskorn_count(*c) for c in cases], batched()
     assert milnor.positive_offsets(3, 4).dtype == object
     assert exact == int64
+    assert exact_batched == int64_batched
+
+
+def test_batched_count_matches_single_counts(monkeypatch):
+    # blocks of a few products each, so one call spans many blocks
+    monkeypatch.setattr(milnor, "_BLOCK", 7)
+    cs = [2, 3, 5, 6, 7, 12, 13, 30, 31, 97, 10**20 + 1]
+    for a, b in [(2, 3), (3, 4), (4, 6), (5, 7), (6, 9)]:
+        b_plus, nullity = milnor.offsets_count(a, b, cs, milnor.positive_offsets(a, b))
+        for c, bp, nl in zip(cs, b_plus, nullity):
+            sigma_plus, _, null = brieskorn_count(a, b, c)
+            assert (bp, nl) == (sigma_plus, null), (a, b, c)
 
 
 def test_huge_exponent_takes_the_exact_path():
@@ -100,6 +121,14 @@ def test_from_counts_rejects_impossible_counts():
         from_counts(2, 3, 7, -2, 0)
 
 
+def test_d3_text_matches_the_fraction():
+    for sigma in range(-41, 42):
+        for sigma_plus in range(0, 12):
+            want = Fraction(-sigma, 4) - sigma_plus - Fraction(1, 2)
+            assert milnor._d3(sigma, sigma_plus) == want
+            assert milnor.d3_text(sigma, sigma_plus) == str(want)
+
+
 def test_d3_is_exact_rational():
     # mu even or odd, the formula always lands on a half-integer
     for p, q, r in [(2, 3, 7), (2, 3, 5), (3, 4, 5), (2, 5, 7)]:
@@ -112,6 +141,17 @@ def test_b_plus_via_lemma_pins():
     assert b_plus_via_lemma(3, 5) == 0
     assert b_plus_via_lemma(3, 11) == 2
     assert b_plus_via_lemma(7, 11) == 10
+
+
+def test_shifted_count_is_caught_by_the_genus_route(monkeypatch):
+    real = milnor.brieskorn_count
+    monkeypatch.setattr(
+        milnor, "brieskorn_count",
+        lambda p, q, r: tuple(x + d for x, d in zip(real(p, q, r), (4, -4, 0))),
+    )
+    # the genus route no longer reads the count, so it keeps the true b+
+    assert b_plus_via_lemma(7, 11) == 10
+    assert invariants(2, 7, 11).sigma_plus == 14
 
 
 def test_b_plus_via_lemma_matches_count():

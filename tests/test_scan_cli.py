@@ -10,14 +10,25 @@ from pathlib import Path
 import pytest
 
 import exotwist.cache
+import exotwist.milnor as milnor
 import exotwist.scan
 from exotwist.arith import Triple
 from exotwist.cache import FORMULA_VERSION, InvariantCache
-from exotwist.certify import CSV_HEADER, Certificate, certify
+from exotwist.certify import (
+    CSV_HEADER,
+    ROUTE_NONE,
+    Certificate,
+    certify,
+    certify_direct,
+    certify_embedding,
+)
 from exotwist.cli import main
 from exotwist.errors import ConsistencyError, PreconditionError
+from exotwist.ko_ring import LedgerReport
 from exotwist.milnor import invariants
-from exotwist.scan import ScanConfig, run_scan, scan_certificates
+from exotwist.scan import FORMATS, MODES, ScanConfig, run_scan, scan_certificates, stream_scan
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _csv_rows(table: str) -> list[str]:
@@ -187,6 +198,146 @@ class TestScan:
             ScanConfig(**kwargs)
 
 
+def _text_row(cert: Certificate) -> str:
+    """A certificate laid out as a row of the text table."""
+    inv, t = cert.invariants, cert.triple
+    eigen = "" if cert.eigenspace_dim is None else cert.eigenspace_dim
+    failed = ";".join(c.name for c in cert.failed_conditions())
+    return exotwist.scan._TEXT_FMT.format(
+        t.p, t.q, t.r, cert.route, inv.mu, inv.sigma, inv.sigma_plus, inv.sigma_minus,
+        str(inv.d3), eigen, failed,
+    ).rstrip()
+
+
+_RENDER = {"csv": Certificate.to_csv_row, "json": Certificate.to_json, "text": _text_row}
+_TEXT_HEADER = ["p", "q", "r", "route", "mu", "sigma", "b_plus", "b_minus", "d3", "dim",
+                "conditions_failed"]
+
+
+def _box_certificates(mode: str, emit_all: bool, bound: int) -> list[Certificate]:
+    """The certificates a scan of the box emits, one library call each."""
+    if mode == "theorem1":
+        certs = [certify_direct(q, r) for q in range(3, bound + 1) for r in range(q + 1, bound + 1)]
+    else:
+        build = certify_embedding if mode == "theorem2" else lambda *t: certify(Triple(*t))
+        certs = [
+            build(p, q, r)
+            for p in range(2, bound + 1)
+            for q in range(p + 1, bound + 1)
+            for r in range(q + 1, bound + 1)
+        ]
+    return [c for c in certs if emit_all or c.route != ROUTE_NONE]
+
+
+class TestRowPath:
+    @pytest.mark.parametrize("emit_all", [False, True])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_row_renders_its_certificate(self, mode, emit_all):
+        certs = _box_certificates(mode, emit_all, 30)
+        for fmt in FORMATS:
+            want = [_RENDER[fmt](cert) for cert in certs]
+            for jobs in (1, 2):
+                cfg = ScanConfig(q_max=30, r_max=30, mode=mode, format=fmt,
+                                 emit_all=emit_all, jobs=jobs)
+                lines = run_scan(cfg).splitlines()
+                if fmt == "csv":
+                    assert lines.pop(0) == CSV_HEADER
+                elif fmt == "text":
+                    assert lines.pop(0).split() == _TEXT_HEADER
+                assert lines == want, (fmt, jobs)
+
+    def test_csv_and_text_rows_build_no_certificate(self, monkeypatch):
+        # --all rows include every kind: DIRECT, EMBEDDING and NONE
+        configs = [ScanConfig(q_max=30, r_max=30, mode=mode, format="csv", emit_all=True)
+                   for mode in MODES]
+        configs.append(ScanConfig(q_max=30, r_max=30, format="text", emit_all=True))
+        want = [run_scan(cfg) for cfg in configs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scan row built a per-row object")
+
+        for name in ("certify", "certify_direct", "certify_embedding", "Triple", "from_counts"):
+            monkeypatch.setattr(exotwist.scan, name, refuse)
+        certify_module = sys.modules["exotwist.certify"]
+        for name in ("Certificate", "Condition"):
+            monkeypatch.setattr(certify_module, name, refuse)
+        monkeypatch.setattr(milnor, "Fraction", refuse)
+        assert [run_scan(cfg) for cfg in configs] == want
+        with pytest.raises(AssertionError, match="per-row object"):
+            run_scan(ScanConfig(q_max=30, r_max=30, format="json"))
+
+    def test_ledger_that_does_not_flip_aborts_the_scan(self, monkeypatch):
+        # the precheck routes (2,3,7) DIRECT; every format must refuse the row
+        monkeypatch.setattr(
+            sys.modules["exotwist.certify"], "exoticness_ledger",
+            lambda d, psi0_is_unit: LedgerReport(False, "patched: no flip"),
+        )
+        for fmt in FORMATS:
+            with pytest.raises(ConsistencyError, match="precheck"):
+                run_scan(ScanConfig(q_max=7, r_max=7, mode="theorem1", format=fmt))
+
+    def test_rows_stream_task_by_task(self):
+        cfg = ScanConfig(q_max=9, r_max=11, mode="all", format="csv")
+        writes: list[str] = []
+        stream_scan(cfg, writes.append)
+        tasks = exotwist.scan._tasks(cfg)
+        assert len(writes) == len(tasks)
+        assert "".join(writes) == run_scan(cfg)
+        assert writes[0].startswith(CSV_HEADER + "\n")
+        writes[0] = writes[0][len(CSV_HEADER) + 1:]
+        for chunk, (p, q) in zip(writes, tasks):
+            assert all(row.startswith(f"{p},{q},") for row in chunk.splitlines())
+
+    def test_defect_in_a_worker_ends_the_pool(self, monkeypatch, capsys):
+        real = exotwist.scan.knot_signature_seifert
+        monkeypatch.setattr(
+            exotwist.scan, "knot_signature_seifert",
+            lambda q, r, **kw: real(q, r, **kw) + (8 if q >= 11 else 0),
+        )
+        argv = ["scan", "--mode", "theorem1", "--q-max", "30", "--r-max", "30",
+                "--format", "csv", "--jobs", "2"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        # the rows of the tasks before the defect stand; the table stops there
+        assert captured.out.startswith(CSV_HEADER + "\n2,3,7,DIRECT,")
+        assert "\n2,11," not in captured.out
+        assert captured.err.startswith("error: internal defect: sigma(T(11,")
+        assert multiprocessing.active_children() == []
+
+    def test_closed_stdout_mid_stream_ends_the_pool(self, monkeypatch):
+        class ClosingPipe(io.StringIO):
+            # takes the first write, then its reader is gone
+            def write(self, text):
+                if self.tell():
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", ClosingPipe())
+        argv = ["scan", "--q-max", "40", "--r-max", "40", "--format", "csv", "--jobs", "2"]
+        assert main(argv) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_closed_pipe_mid_scan_exits_quietly(self):
+        # the 60-box table (about 600 kB) overfills the pipe buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "exotwist.cli", "scan", "--q-max", "60", "--r-max", "60",
+             "--format", "csv", "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), start_new_session=True,
+        )
+        try:
+            first = proc.stdout.read(len(CSV_HEADER))
+            proc.stdout.close()
+            err = proc.stderr.read()
+        finally:
+            proc.stderr.close()
+            code = proc.wait(timeout=120)
+        assert first == CSV_HEADER.encode()
+        assert (code, err) == (2, b"")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no worker outlives the scan
+
+
 class TestCache:
     def test_miss_then_store_then_hit(self, tmp_path):
         cache = InvariantCache(tmp_path / "c.jsonl")
@@ -268,6 +419,25 @@ class TestCli:
             assert captured.err.startswith("error: internal defect: ")
             assert captured.err.count("\n") == 1
 
+    def test_shifted_count_is_an_internal_defect(self, monkeypatch, capsys):
+        real = milnor.offsets_count
+
+        def shifted(a, b, cs, v):
+            b_plus, nullity = real(a, b, cs, v)
+            return [x + 4 for x in b_plus], nullity
+
+        monkeypatch.setattr(milnor, "offsets_count", shifted)
+        monkeypatch.setattr(exotwist.scan, "offsets_count", shifted)
+        assert milnor.brieskorn_count(2, 7, 11) == (14, 46, 0)  # true (10, 50, 0)
+        with pytest.raises(ConsistencyError, match="genus route"):
+            certify(Triple(2, 7, 11))
+        with pytest.raises(ConsistencyError, match="genus route"):
+            run_scan(ScanConfig(q_max=7, r_max=11, mode="theorem1", format="csv"))
+        assert main(["scan", "--mode", "theorem1", "--q-max", "7", "--r-max", "11"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal defect: b+ of M_c(2,3,7)")
+
     def test_closed_stdout_is_an_io_error(self, monkeypatch):
         class ClosedPipe(io.StringIO):
             def write(self, text):
@@ -283,8 +453,7 @@ class TestCli:
             assert main(argv) == 2, argv
 
     def test_closed_pipe_exits_quietly(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.Popen(
             [sys.executable, "-m", "exotwist.cli", "certify", "--triple", "2,3,7"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
@@ -352,6 +521,13 @@ class TestCli:
         assert main(["signature", "--torus", "26", "401", "--method", "seifert"]) == 2
         err = capsys.readouterr().err
         assert "dimension" in err
+
+    def test_signature_both_past_the_cap(self, capsys):
+        assert main(["signature", "--torus", "26", "401"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "count    -5212",
+            "seifert  skipped (dimension 10000 > limit 600)",
+        ]
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

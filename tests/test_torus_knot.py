@@ -15,6 +15,7 @@ from exotwist.torus_knot import (
     DEFAULT_SEIFERT_DIM_LIMIT,
     BraidWord,
     knot_signature_count,
+    knot_signature_glm,
     knot_signature_seifert,
     seifert_matrix,
     slice_genus,
@@ -188,6 +189,20 @@ class TestKnotSignature:
         # the largest forms the default cap admits, where entries grow most
         assert (q - 1) * (r - 1) == DEFAULT_SEIFERT_DIM_LIMIT
         assert knot_signature_seifert(q, r) == knot_signature_count(q, r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 150), st.integers(2, 400))
+    def test_glm_recursion_matches_count(self, q, r):
+        if math.gcd(q, r) != 1:
+            with pytest.raises(PreconditionError):
+                knot_signature_glm(q, r)
+            return
+        assert knot_signature_glm(q, r) == knot_signature_count(q, r)
+        assert knot_signature_glm(r, q) == knot_signature_glm(q, r)
+
+    def test_glm_recursion_needs_no_count(self):
+        # a form of dimension 10^9: far past any count or Seifert budget
+        assert knot_signature_glm(10007, 99991) % 8 == 0
 
     def test_divisible_by_8_for_odd_pairs(self):
         for q in range(3, 16, 2):
