@@ -13,8 +13,12 @@ ledger.
 The b+ = 2 (mod 4) condition is computed three ways (lattice count, genus
 plus half signature, quarter-genus parity); any disagreement raises
 ConsistencyError because it would falsify the arithmetic chain the
-certificates rest on.  direct_checks holds these checks and the ledger
-run, for certify_direct and the scan's rows alike.
+certificates rest on.  The "(count)" b+ is milnor.invariants': for the
+pairwise-coprime triples this route admits, Mordell's closed-form count of
+the lattice points by Dedekind sums (a scan's rows read the batched count
+instead); the "(genus route)" b+ is g + sigma/2 with sigma from the
+Gordon-Litherland-Murasugi recursion.  direct_checks holds these checks and
+the ledger run, for certify_direct and the scan's rows alike.
 
 Each route's conditions on the triple live in one table (DIRECT_TABLE,
 EMBEDDING_TABLE).  The certificate builders format its rows into
@@ -354,7 +358,10 @@ def certify_embedding(
 def certify(t: Triple, *, _inv: MilnorInvariants | None = None) -> Certificate:
     """Dispatch: try the direct route for p = 2, then the embedding route.
 
-    NONE certificates enumerate the failed conditions of both routes.
+    NONE certificates enumerate the failed conditions of both routes.  The
+    invariants come from milnor.invariants: by Dedekind sums, with no numpy,
+    for a pairwise-coprime triple, and by the lattice count otherwise, which
+    raises UnsupportedInputError past milnor's term limit.
     """
     if not isinstance(t, Triple):
         t = Triple(*t)

@@ -12,8 +12,9 @@ Three verbs:
 Any verb exits 3 when two independent computations disagree
 (ConsistencyError): that is a defect in the program, never a verdict; rows a
 scan printed before the defect stand, but its table is incomplete.  A
-stdout closed by its reader (``exotwist certify ... | head -1``) is an I/O
-failure and exits 2.
+lattice count too large to hold in memory (UnsupportedInputError) is
+refused with one ``error:`` line and exit 2, as is a stdout closed by its
+reader (``exotwist certify ... | head -1``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import sys
 
 from .arith import Triple
 from .certify import CSV_HEADER, ROUTE_NONE, certify
-from .errors import ConsistencyError, DimensionLimitError, PreconditionError
+from .errors import (ConsistencyError, DimensionLimitError, PreconditionError,
+                     UnsupportedInputError)
 from .scan import FORMATS, MODES, ScanConfig, stream_scan
 from .torus_knot import DEFAULT_SEIFERT_DIM_LIMIT, knot_signature_count, knot_signature_seifert
 
@@ -81,9 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_certify(args, parser: argparse.ArgumentParser) -> int:
     try:
-        cert = certify(Triple(*_parse_triple(args.triple)))
+        triple = Triple(*_parse_triple(args.triple))
     except (ValueError, PreconditionError) as exc:
         parser.error(str(exc))
+    cert = certify(triple)
     if args.format == "json":
         print(cert.to_json())
     elif args.format == "csv":
@@ -184,6 +187,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"error: internal defect: {exc}", file=sys.stderr)
         return 3
+    except UnsupportedInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SystemExit as exc:
         # argparse exits on --help (0) and usage errors (2); fold both into
         # the return-code contract so callers never see the exception

@@ -23,7 +23,27 @@ The offsets v depend on (a, b) only, so a scan computes them once and counts
 all the c values of a (p, q) pair in one pass over the products c*v, in
 blocks of at most _BLOCK of them.  The sums run in numpy int64 while
 max(c)*ab < 2**62, and in numpy object dtype (exact Python integers) above
-it.
+it.  numpy is imported by the kernel itself, so only a count loads it.  A
+count of more than _MAX_TERMS offsets is refused (UnsupportedInputError)
+before anything is allocated.
+
+For pairwise-coprime exponents the same lattice points have Mordell's
+closed-form count (1951), and sigma = b+ - b- follows from Dedekind sums
+(Hirzebruch-Zagier 1974; Rademacher-Grosswald 1972).  With
+U(h,k) = 12k*s(h,k), an integer, reciprocity gives
+h*U(h,k) + k*U(k,h) = h^2 + k^2 + 1 - 3hk and U(k,h) = U(k mod h, h), so U
+runs like Euclid's algorithm down to U(0,1) = 0, and
+
+    sigma = -1 + [1 - (pqr)^2 + (pq)^2 + (qr)^2 + (pr)^2
+                  - qr*U(qr mod p, p) - pr*U(pr mod q, q) - pq*U(pq mod r, r)] / (3pqr)
+
+in O(log pqr) integer steps, every division checked to be exact.  The nullity
+is 0 then.  invariants() takes sigma from this route for pairwise-coprime
+triples, with b+ = (mu + sigma)/2, and counts the others; their nullity is
+checked against Milnor-Orlik's closed form (Topology 9, 1970), the first
+Betti number of the link:
+
+    nullity = 2 + pqr/lcm(p,q,r) - gcd(p,q) - gcd(q,r) - gcd(p,r)
 
 The boundary of the fiber inherits a canonical contact structure; its d3
 invariant is the exact rational -sigma/4 - b+ - 1/2 = (-sigma - 4b+ - 2)/4.
@@ -35,16 +55,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError, PreconditionError, UnsupportedInputError
 
 __all__ = ["MilnorInvariants", "milnor_number", "positive_offsets", "offsets_count",
-           "brieskorn_count", "checked_inertia", "from_counts", "d3_text", "invariants",
-           "b_plus_via_lemma"]
+           "brieskorn_count", "dedekind_sigma", "checked_inertia", "from_counts", "d3_text",
+           "invariants", "b_plus_via_lemma"]
 
 # int64 guard: c*v < c*ab bounds every intermediate of the offsets kernel.
 _INT64_GUARD = 2**62
+
+# Most offsets (a-1)(b-1) a count may hold: 128 MiB of int64 per array.  A
+# q, r <= 200 box needs at most 4*10^4.
+_MAX_TERMS = 1 << 24
 
 # Most products c*v the offsets kernel holds at once (64 KiB of int64 per
 # temporary), so a task of a large box stays small and in cache.
@@ -88,9 +110,20 @@ def milnor_number(p: int, q: int, r: int) -> int:
 def positive_offsets(a: int, b: int) -> np.ndarray:
     """The positive values of ab - ib - ja over 1 <= i < a, 1 <= j < b.
 
+    Raises UnsupportedInputError, before allocating, when (a-1)(b-1)
+    exceeds _MAX_TERMS.
+
     >>> positive_offsets(3, 4).tolist()
     [5, 2, 1]
     """
+    terms = (a - 1) * (b - 1)
+    if terms > _MAX_TERMS:
+        raise UnsupportedInputError(
+            f"lattice count over exponents ({a}, {b}) needs {terms} terms, "
+            f"more than the {_MAX_TERMS} it may hold in memory"
+        )
+    import numpy as np
+
     dtype = np.int64 if a * b < _INT64_GUARD else object
     i = np.arange(1, a, dtype=dtype) * b
     j = np.arange(1, b, dtype=dtype) * a
@@ -108,6 +141,8 @@ def offsets_count(a: int, b: int, cs, v: np.ndarray) -> tuple[list[int], list[in
     >>> offsets_count(2, 3, [7, 11, 13], positive_offsets(2, 3))
     ([2, 2, 4], [0, 0, 0])
     """
+    import numpy as np
+
     ab = a * b
     exact = max(cs) * ab >= _INT64_GUARD
     c = np.array(cs, dtype=object if exact else np.int64)
@@ -131,7 +166,8 @@ def brieskorn_count(p: int, q: int, r: int) -> tuple[int, int, int]:
     """(sigma_plus, sigma_minus, nullity) of the intersection form of M_c(p,q,r).
 
     Symmetric in the exponents: the offsets kernel runs on the sorted
-    exponents a <= b <= c at a cost of O(ab).
+    exponents a <= b <= c at a cost of O(ab), and refuses (a-1)(b-1) past
+    _MAX_TERMS.
 
     >>> brieskorn_count(2, 2, 3)
     (0, 2, 0)
@@ -144,6 +180,42 @@ def brieskorn_count(p: int, q: int, r: int) -> tuple[int, int, int]:
     a, b, c = sorted((p, q, r))
     (sigma_plus,), (nullity,) = offsets_count(a, b, [c], positive_offsets(a, b))
     return sigma_plus, (a - 1) * (b - 1) * (c - 1) - sigma_plus - nullity, nullity
+
+
+def _dedekind_u(h: int, k: int) -> int:
+    """U(h,k) = 12k*s(h,k) for coprime h, k >= 1, by reciprocity."""
+    chain = []
+    h %= k
+    while h:
+        chain.append((h, k))
+        h, k = k % h, h
+    if k != 1:
+        raise PreconditionError(f"Dedekind sum needs coprime arguments, got gcd {k}")
+    u = 0
+    for h, k in reversed(chain):
+        u, rem = divmod(h * h + k * k + 1 - 3 * h * k - k * u, h)
+        if rem:
+            raise ConsistencyError(f"12k*s(h,k) is not an integer at (h, k) = ({h}, {k})")
+    return u
+
+
+def dedekind_sigma(p: int, q: int, r: int) -> int:
+    """sigma of M_c(p,q,r) for pairwise-coprime exponents, by Dedekind sums.
+
+    The closed form in the module docstring; O(log) integer steps, no count.
+
+    >>> dedekind_sigma(2, 3, 7), dedekind_sigma(7, 2, 3), dedekind_sigma(3, 4, 5)
+    (-8, -8, -16)
+    """
+    _validate_exponents(p, q, r)
+    n = p * q * r
+    total = 1 - n * n + (p * q) ** 2 + (q * r) ** 2 + (p * r) ** 2
+    for m, k in ((q * r, p), (p * r, q), (p * q, r)):
+        total -= m * _dedekind_u(m, k)
+    quo, rem = divmod(total, 3 * n)
+    if rem:
+        raise ConsistencyError(f"Dedekind-sum sigma of ({p}, {q}, {r}) is not an integer")
+    return quo - 1
 
 
 def _d3(sigma: int, sigma_plus: int) -> Fraction:
@@ -194,13 +266,32 @@ def from_counts(p: int, q: int, r: int, sigma_plus: int, nullity: int) -> Milnor
 def invariants(p: int, q: int, r: int) -> MilnorInvariants:
     """Assemble the full invariant record for M_c(p,q,r).
 
+    Pairwise-coprime triples take sigma from dedekind_sigma, with nullity 0
+    and b+ = (mu + sigma)/2, and import no numpy.  Other triples are counted
+    by brieskorn_count, whose nullity must match Milnor-Orlik's closed form.
+
     >>> inv = invariants(2, 3, 5)
     >>> (inv.mu, inv.sigma, inv.sigma_plus, inv.d3)
     (8, -8, 0, Fraction(3, 2))
     >>> invariants(2, 3, 7).d3
     Fraction(-1, 2)
+    >>> invariants(3, 3, 3).nullity
+    2
     """
+    _validate_exponents(p, q, r)
+    gpq, gqr, gpr = math.gcd(p, q), math.gcd(q, r), math.gcd(p, r)
+    if gpq == gqr == gpr == 1:
+        mu_plus_sigma = (p - 1) * (q - 1) * (r - 1) + dedekind_sigma(p, q, r)
+        if mu_plus_sigma % 2:
+            raise ConsistencyError(f"Dedekind-sum sigma of ({p}, {q}, {r}) has the wrong parity")
+        return from_counts(p, q, r, mu_plus_sigma // 2, 0)
     sigma_plus, _, nullity = brieskorn_count(p, q, r)
+    link_b1 = 2 + p * q * r // math.lcm(p, q, r) - gpq - gqr - gpr
+    if nullity != link_b1:
+        raise ConsistencyError(
+            f"nullity of ({p}, {q}, {r}) disagrees between count ({nullity}) and "
+            f"Milnor-Orlik ({link_b1})"
+        )
     return from_counts(p, q, r, sigma_plus, nullity)
 
 

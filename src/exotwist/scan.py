@@ -10,12 +10,14 @@ route != NONE unless emit_all is set.  Three modes:
 The route tables' predicates skip NONE triples before anything is counted.
 A task is one (p, q) pair: one milnor.positive_offsets array serves all its
 r values, and the r values it emits are counted in one batched
-milnor.offsets_count call.  A CSV or text row is built straight from the
-integers and the route tables (failed-condition names, d3 reduced from its
-numerator over 4); every p = 2 row whose direct prerequisites hold goes
-through certify.direct_checks, and a row the precheck routes DIRECT whose
-b+ is not 2 mod 4 or whose ledger does not flip aborts the scan.  JSON rows
-and scan_certificates build full certificates through certify.
+milnor.offsets_count call; the first pairwise-coprime row a task counts
+has its sigma recomputed by milnor.dedekind_sigma, and a mismatch aborts
+the scan.  A CSV or text row is built straight from the integers and the
+route tables (failed-condition names, d3 reduced from its numerator over
+4); every p = 2 row whose direct prerequisites hold goes through
+certify.direct_checks, and a row the precheck routes DIRECT whose b+ is not
+2 mod 4 or whose ledger does not flip aborts the scan.  JSON rows and
+scan_certificates build full certificates through certify.
 
 stream_scan hands each task's rendered rows to a writer as soon as the task
 is done, in task order, so the scan holds one task's rows at a time (the
@@ -39,7 +41,8 @@ from .certify import (CSV_HEADER, DIRECT_B_PLUS, DIRECT_GATE, DIRECT_LEDGER, DIR
                       EMBEDDING_TABLE, ROUTE_DIRECT, ROUTE_EMBEDDING, ROUTE_NONE, Certificate,
                       certify, certify_direct, certify_embedding, direct_checks, route_holds)
 from .errors import ConsistencyError, PreconditionError
-from .milnor import checked_inertia, d3_text, from_counts, offsets_count, positive_offsets
+from .milnor import (checked_inertia, d3_text, dedekind_sigma, from_counts, offsets_count,
+                     positive_offsets)
 from .torus_knot import knot_signature_seifert
 
 __all__ = ["MODES", "FORMATS", "SEIFERT_CHECK_LIMIT", "ScanConfig", "run_scan",
@@ -209,6 +212,7 @@ def _task(task: tuple[int, int], build: Callable) -> list:
     missing = [r for r, _, cached in emitted if cached is None]
     if missing:
         counts = zip(*offsets_count(p, q, missing, positive_offsets(p, q)))
+    unchecked = math.gcd(p, q) == 1  # no row of the task is pairwise coprime otherwise
     out = []
     for r, route, cached in emitted:
         if cached is None:
@@ -218,6 +222,14 @@ def _task(task: tuple[int, int], build: Callable) -> list:
             inertia = (cached.mu, cached.sigma_plus, cached.sigma_minus, cached.nullity,
                        cached.sigma)
         out.append(build(p, q, r, route, inertia, cached))
+        if unchecked and cached is None and math.gcd(q, r) == math.gcd(p, r) == 1:
+            unchecked = False
+            sigma = dedekind_sigma(p, q, r)
+            if sigma != inertia[4]:
+                raise ConsistencyError(
+                    f"sigma of ({p},{q},{r}) disagrees: {inertia[4]} (count) vs "
+                    f"{sigma} (Dedekind sums)"
+                )
         if p == 2 and math.gcd(q, r) == 1:
             _seifert_cross_check(q, r, inertia[4], cfg)
         if cached is None and _CACHE is not None and _CACHE_WRITES:

@@ -4,8 +4,9 @@ Route one builds the fiber surface of the positive braid (s1 s2 ... s_{q-1})^r
 by Seifert's algorithm and takes the signature of the symmetrized Seifert
 form V + V^T.  Route two reads the same number off the Brieskorn lattice count
 of the double branched cover M(2,q,r).  Route three is the recursion of
-Gordon, Litherland and Murasugi (Canad. J. Math. 33, 1981, Thm 5.2), run
-like Euclid's algorithm.  They must agree; the library treats any
+Gordon, Litherland and Murasugi (Canad. J. Math. 33, 1981, Thm 5.2), with
+its runs of repeated steps summed in closed form, so that it takes
+O(log max(q, r)) steps.  They must agree; the library treats any
 disagreement as a defect, not as data.
 
 The signature of V + V^T is read off its inertia, computed by symmetric
@@ -354,24 +355,49 @@ def knot_signature_count(q: int, r: int) -> int:
 def knot_signature_glm(q: int, r: int) -> int:
     """Signature of T(q,r) by the Gordon-Litherland-Murasugi recursion, with
     no lattice count and no Seifert matrix.  For coprime a > b > 1 and
-    c = b^2 - (b odd): sigma(a, b) = sigma(a - 2b, b) - c when a > 2b, and
-    -sigma(2b - a, b) - c + 2(b even) when a < 2b; sigma is symmetric and 0
-    once an argument is 1.  The first rule runs a // 2b times in one step,
-    so the recursion takes as many steps as Euclid's algorithm.
+    c(b) = b^2 - (b odd): sigma(a, b) = sigma(a - 2b, b) - c(b) when a > 2b,
+    and -sigma(2b - a, b) - c(b) + 2(b even) when a < 2b; sigma is symmetric
+    and 0 once an argument is 1.
+
+    The first rule runs a // 2b times in one divmod step.  The second maps
+    (b + d, b) to (b, b - d) and repeats while d < b, so a run of it keeps
+    the difference d; its terms alternate in sign and, in each parity class
+    of the step index, are a quadratic in that index, so _reflection_run
+    sums the whole run at once.  With both rules folded the recursion takes
+    O(log max(q, r)) steps, as Euclid's algorithm on (a, d) does.
 
     >>> knot_signature_glm(2, 3), knot_signature_glm(3, 4), knot_signature_glm(7, 3)
     (-2, -6, -8)
+    >>> knot_signature_glm(10**10 + 1, 10**10 + 3)
+    -50000000020000000000
     """
     _require_coprime(q, r)
     a, b = max(q, r), min(q, r)
     sign, sigma = 1, 0
     while b > 1:
-        step = b * b - b % 2
         k, a = divmod(a, 2 * b)
-        sigma -= sign * k * step
+        sigma -= sign * k * (b * b - b % 2)
         if a > b:
-            sigma -= sign * (step if b % 2 else step - 2)
-            sign = -sign
-            a = 2 * b - a
-        a, b = b, a
+            d = a - b
+            n = (b - 1) // d  # reflections while the difference stays below b
+            sigma -= sign * _reflection_run(b, d, n)
+            if n % 2:
+                sign = -sign
+            b -= n * d
+            a = b + d
+        else:
+            a, b = b, a
     return sigma
+
+
+def _reflection_run(b: int, d: int, n: int) -> int:
+    """sum over 0 <= j < n of (-1)^j (c(b_j) - 2(b_j even)), b_j = b - j*d,
+    the second rule's terms over a run of n reflections."""
+
+    def squares(x: int, m: int) -> int:
+        # sum over 0 <= i < m of (x - 2di)^2 - (1 if x odd else 2)
+        e = 1 if x % 2 else 2
+        cross = 2 * x * d * m * (m - 1)
+        return m * (x * x - e) - cross + 4 * d * d * (m - 1) * m * (2 * m - 1) // 6
+
+    return squares(b, (n + 1) // 2) - squares(b - d, n // 2)

@@ -3,18 +3,24 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import exotwist.milnor as milnor
-from exotwist.errors import ConsistencyError, PreconditionError
+from exotwist.errors import ConsistencyError, PreconditionError, UnsupportedInputError
 from exotwist.milnor import (
     b_plus_via_lemma,
     brieskorn_count,
+    dedekind_sigma,
     from_counts,
     invariants,
     milnor_number,
 )
+from exotwist.torus_knot import knot_signature_glm
+
+
+def _pairwise_coprime(p, q, r):
+    return math.gcd(p, q) == math.gcd(q, r) == math.gcd(p, r) == 1
 
 
 def test_milnor_number_values():
@@ -144,11 +150,10 @@ def test_b_plus_via_lemma_pins():
 
 
 def test_shifted_count_is_caught_by_the_genus_route(monkeypatch):
-    real = milnor.brieskorn_count
-    monkeypatch.setattr(
-        milnor, "brieskorn_count",
-        lambda p, q, r: tuple(x + d for x, d in zip(real(p, q, r), (4, -4, 0))),
-    )
+    # invariants() reads the Dedekind-sum count of a pairwise-coprime triple;
+    # sigma + 8 shifts (b+, b-) by (4, -4)
+    real = milnor.dedekind_sigma
+    monkeypatch.setattr(milnor, "dedekind_sigma", lambda p, q, r: real(p, q, r) + 8)
     # the genus route no longer reads the count, so it keeps the true b+
     assert b_plus_via_lemma(7, 11) == 10
     assert invariants(2, 7, 11).sigma_plus == 14
@@ -173,3 +178,86 @@ def test_large_triple_stays_exact():
     assert inv.mu == 196 * 198 * 199
     assert inv.sigma_plus + inv.sigma_minus + inv.nullity == inv.mu
     assert (inv.sigma_plus, inv.sigma_minus) == (2554728, 5168064)
+
+
+def test_dedekind_sigma_matches_count_on_the_grid():
+    checked = 0
+    for p in range(2, 14):
+        for q in range(2, 30):
+            for r in range(2, 45):
+                if not _pairwise_coprime(p, q, r):
+                    with pytest.raises(PreconditionError):
+                        dedekind_sigma(p, q, r)
+                    continue
+                sigma_plus, sigma_minus, nullity = brieskorn_count(p, q, r)
+                assert nullity == 0
+                assert dedekind_sigma(p, q, r) == sigma_plus - sigma_minus, (p, q, r)
+                checked += 1
+    assert checked == 4067
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(2, 80), st.integers(2, 300), st.integers(2, 2000)))
+def test_dedekind_sigma_matches_count_unsorted(triple):
+    assume(_pairwise_coprime(*triple))
+    sigma_plus, sigma_minus, _ = brieskorn_count(*triple)
+    for perm in set(permutations(triple)):
+        assert dedekind_sigma(*perm) == sigma_plus - sigma_minus
+
+
+def test_coprime_invariants_need_no_count(monkeypatch):
+    def refuse(p, q, r):
+        raise AssertionError("a pairwise-coprime triple was counted")
+
+    monkeypatch.setattr(milnor, "brieskorn_count", refuse)
+    assert invariants(3, 4, 7).sigma == -24
+    q, r = 10**10 + 1, 10**10 + 3
+    inv = invariants(2, q, r)
+    # the genus route's GLM recursion is an independent second route
+    assert inv.sigma == knot_signature_glm(q, r) == -50000000020000000000
+    assert inv.sigma_plus == b_plus_via_lemma(q, r)
+    assert (inv.nullity, inv.mu) == (0, (q - 1) * (r - 1))
+    with pytest.raises(AssertionError, match="counted"):
+        invariants(4, 6, 8)
+
+
+def test_nullity_matches_milnor_orlik():
+    for p in range(2, 10):
+        for q in range(2, 13):
+            for r in range(2, 17):
+                link_b1 = (2 + p * q * r // math.lcm(p, q, r)
+                           - math.gcd(p, q) - math.gcd(q, r) - math.gcd(p, r))
+                assert brieskorn_count(p, q, r)[2] == link_b1, (p, q, r)
+                assert invariants(p, q, r).nullity == link_b1
+
+
+def test_shifted_nullity_is_caught(monkeypatch):
+    real = milnor.brieskorn_count
+    monkeypatch.setattr(
+        milnor, "brieskorn_count",
+        lambda p, q, r: tuple(x + d for x, d in zip(real(p, q, r), (0, -2, 2))),
+    )
+    with pytest.raises(ConsistencyError, match="Milnor-Orlik"):
+        invariants(4, 6, 8)
+
+
+def test_count_past_the_term_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(milnor, "_MAX_TERMS", 6)
+    assert milnor.positive_offsets(3, 4).tolist() == [5, 2, 1]  # (3-1)(4-1) = 6 terms
+    with pytest.raises(UnsupportedInputError, match="7 terms"):
+        milnor.positive_offsets(2, 8)
+    with pytest.raises(UnsupportedInputError):
+        brieskorn_count(5, 3, 100)
+
+
+def test_huge_count_is_refused_before_allocating():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedInputError, match="9999999999 terms"):
+            invariants(2, 10**10, 10**10 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

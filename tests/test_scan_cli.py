@@ -429,14 +429,78 @@ class TestCli:
         monkeypatch.setattr(milnor, "offsets_count", shifted)
         monkeypatch.setattr(exotwist.scan, "offsets_count", shifted)
         assert milnor.brieskorn_count(2, 7, 11) == (14, 46, 0)  # true (10, 50, 0)
+        # certify reads the Dedekind-sum count of a pairwise-coprime triple;
+        # sigma + 8 is the same (+4, -4) shift of (b+, b-)
+        real_sigma = milnor.dedekind_sigma
+        monkeypatch.setattr(milnor, "dedekind_sigma", lambda p, q, r: real_sigma(p, q, r) + 8)
         with pytest.raises(ConsistencyError, match="genus route"):
             certify(Triple(2, 7, 11))
+        monkeypatch.setattr(milnor, "dedekind_sigma", real_sigma)
         with pytest.raises(ConsistencyError, match="genus route"):
             run_scan(ScanConfig(q_max=7, r_max=11, mode="theorem1", format="csv"))
         assert main(["scan", "--mode", "theorem1", "--q-max", "7", "--r-max", "11"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: internal defect: b+ of M_c(2,3,7)")
+
+    def test_shifted_count_for_p_at_least_3_is_an_internal_defect(self, monkeypatch, capsys):
+        real = milnor.offsets_count
+
+        def shifted(a, b, cs, v):
+            b_plus, nullity = real(a, b, cs, v)
+            return ([x + 4 * (a >= 3) for x in b_plus], nullity)
+
+        monkeypatch.setattr(exotwist.scan, "offsets_count", shifted)
+        config = ScanConfig(q_max=4, r_max=7, mode="all", format="csv")
+        with pytest.raises(ConsistencyError, match=r"\(3,4,7\) disagrees: -16 \(count\) vs -24"):
+            run_scan(config)
+        assert main(["scan", "--q-max", "4", "--r-max", "7", "--format", "csv"]) == 3
+        captured = capsys.readouterr()
+        assert "3,4,7" not in captured.out
+        assert captured.err.startswith("error: internal defect: sigma of (3,4,7)")
+        # certify takes sigma from Dedekind sums and never reads the count
+        inv = certify(Triple(3, 4, 7)).invariants
+        assert (inv.sigma, inv.sigma_plus) == (-24, 6)
+
+    def test_count_too_large_is_refused(self, monkeypatch, capsys):
+        for argv in (
+            ["certify", "--triple", "2,10000000000,10000000001"],
+            ["signature", "--torus", "20000001", "20000003", "--method", "count"],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: lattice count over exponents (2, ")
+            assert captured.err.count("\n") == 1
+        monkeypatch.setattr(milnor, "_MAX_TERMS", 1)
+        for jobs in ("1", "2"):
+            argv = ["scan", "--mode", "theorem1", "--q-max", "7", "--r-max", "11"]
+            assert main([*argv, "--jobs", jobs]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: lattice count over exponents (2, 3) needs 2 terms, "
+                "more than the 1 it may hold in memory\n"
+            )
+
+    def test_cold_certify_imports_numpy_only_to_count(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        probe = (
+            "import sys; from exotwist.cli import main; code = main(sys.argv[1:]); "
+            "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+        )
+        for triple, code, numpy_loaded in (
+            ("2,7,11", 0, False),
+            ("2,10000000001,10000000003", 0, False),
+            ("2,10000000000,10000000001", 2, False),
+            ("4,6,8", 1, True),
+        ):
+            done = subprocess.run(
+                [sys.executable, "-c", probe, "certify", "--triple", triple],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == code, (triple, done.stderr)
+            assert done.stderr.splitlines()[-1] == str(numpy_loaded), triple
 
     def test_closed_stdout_is_an_io_error(self, monkeypatch):
         class ClosedPipe(io.StringIO):

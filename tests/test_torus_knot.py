@@ -204,6 +204,42 @@ class TestKnotSignature:
         # a form of dimension 10^9: far past any count or Seifert budget
         assert knot_signature_glm(10007, 99991) % 8 == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 3000), st.integers(1, 12))
+    def test_glm_runs_match_count_for_close_pairs(self, q, d):
+        # |q - r| small is where the reflection runs are longest
+        r = q + d
+        if math.gcd(q, r) != 1:
+            return
+        assert knot_signature_glm(q, r) == knot_signature_count(q, r)
+        assert knot_signature_glm(r, q) == knot_signature_count(q, r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 20000), st.integers(2, 20000))
+    def test_glm_folds_match_the_step_by_step_recursion(self, q, r):
+        if math.gcd(q, r) != 1:
+            return
+        # Thm 5.2 one step at a time, with no run folded
+        a, b = max(q, r), min(q, r)
+        sign, want = 1, 0
+        while b > 1:
+            c = b * b - b % 2
+            if a > 2 * b:
+                want -= sign * c
+                a -= 2 * b
+            else:
+                want -= sign * (c - 2 * (b % 2 == 0))
+                sign = -sign
+                a = 2 * b - a
+            a, b = max(a, b), min(a, b)
+        assert knot_signature_glm(q, r) == want
+
+    def test_glm_recursion_is_logarithmic(self):
+        # one reflection run of 5*10^9 steps, summed in closed form
+        q = 10**10 + 1
+        assert knot_signature_glm(q, q + 2) == -50000000020000000000
+        assert knot_signature_glm(q, q + 2) == knot_signature_glm(q + 2, q)
+
     def test_divisible_by_8_for_odd_pairs(self):
         for q in range(3, 16, 2):
             for r in range(q + 2, 16, 2):
