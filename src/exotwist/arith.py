@@ -52,8 +52,14 @@ def quarter_genus_is_odd(q: int, r: int) -> bool:
 
     (q-1)(r-1)/2 is the slice genus of the torus knot T(q,r); for odd q and r
     the genus is even and the quantity tested here is its half.  This parity
-    is the single hypothesis of the direct certification route.
+    is the single hypothesis of the direct certification route.  Writing
+    q - 1 = 2a and r - 1 = 2b, the quarter genus is ab, which is odd exactly
+    when a and b are, that is when q = r = 3 (mod 4); so the smallest pair
+    with q, r > 3 is (7, 11).
 
+    >>> all(quarter_genus_is_odd(q, r) == (q % 4 == r % 4 == 3)
+    ...     for q in range(3, 60, 2) for r in range(3, 60, 2) if math.gcd(q, r) == 1)
+    True
     >>> quarter_genus_is_odd(3, 7)
     True
     >>> quarter_genus_is_odd(3, 11)

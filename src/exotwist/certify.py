@@ -18,12 +18,16 @@ pairwise-coprime triples this route admits, Mordell's closed-form count of
 the lattice points by Dedekind sums (a scan's rows read the batched count
 instead); the "(genus route)" b+ is g + sigma/2 with sigma from the
 Gordon-Litherland-Murasugi recursion.  direct_checks holds these checks and
-the ledger run, for certify_direct and the scan's rows alike.
+the ledger run.
 
-Each route's conditions on the triple live in one table (DIRECT_TABLE,
-EMBEDDING_TABLE).  The certificate builders format its rows into
-Conditions; route_holds evaluates the same predicates without formatting,
-which is what a scan uses to skip NONE triples.
+Each route's conditions live in one table (DIRECT_TABLE, EMBEDDING_TABLE),
+and one path decides every certificate and every scan row.  route_of
+evaluates the tables' predicates, formatting nothing, to the route a triple
+gets in a mode of MODES (theorem1: direct only, theorem2: embedding only,
+all: direct, then embedding).  verdict checks the triple against that
+route and runs direct_checks wherever the direct prerequisites hold.
+certificate formats a verdict; certify, certify_direct and
+certify_embedding are its three modes.
 """
 
 from __future__ import annotations
@@ -35,18 +39,20 @@ from fractions import Fraction
 from typing import Callable
 
 from .arith import Triple, quarter_genus_is_odd
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError
 from .ko_ring import LedgerReport, exoticness_ledger
 from .milnor import MilnorInvariants, b_plus_via_lemma, invariants
 
-__all__ = ["ROUTE_DIRECT", "ROUTE_EMBEDDING", "ROUTE_NONE", "Condition", "Certificate",
-           "certify_direct", "certify_embedding", "certify", "route_holds", "direct_checks",
-           "CSV_HEADER", "DIRECT_GATE", "DIRECT_TABLE", "DIRECT_B_PLUS", "DIRECT_LEDGER",
-           "EMBEDDING_TABLE"]
+__all__ = ["ROUTE_DIRECT", "ROUTE_EMBEDDING", "ROUTE_NONE", "MODES", "Condition", "Certificate",
+           "certify_direct", "certify_embedding", "certify", "certificate", "route_of",
+           "verdict", "direct_checks", "csv_fields", "CSV_HEADER", "CSV_ROW", "DIRECT_GATE",
+           "DIRECT_TABLE", "DIRECT_B_PLUS", "DIRECT_LEDGER", "EMBEDDING_TABLE"]
 
 ROUTE_DIRECT = "DIRECT"
 ROUTE_EMBEDDING = "EMBEDDING"
 ROUTE_NONE = "NONE"
+
+MODES = ("theorem1", "theorem2", "all")
 
 NOTE_SPIN = (
     "M_c(p,q,r) is spin, and its canonical spin-c structure is the spin one "
@@ -75,6 +81,16 @@ NOTE_PSI_UNIT = (
 )
 
 CSV_HEADER = "p,q,r,route,mu,sigma,b_plus,b_minus,d3,eigenspace_dim,conditions_failed"
+# A CSV row is CSV_ROW % csv_fields(...).
+CSV_ROW = ",".join(["%s"] * len(CSV_HEADER.split(",")))
+
+
+def csv_fields(p: int, q: int, r: int, route: str, mu: int, sigma: int, b_plus: int,
+               b_minus: int, d3: str | Fraction, eigen: int | None, failed: str) -> tuple:
+    """A row's values in the order of CSV_HEADER's columns, eigen None as
+    a blank; certificates and scan rows are laid out from this tuple."""
+    return (p, q, r, route, mu, sigma, b_plus, b_minus, d3, "" if eigen is None else eigen,
+            failed)
 
 
 @dataclass(frozen=True)
@@ -154,14 +170,10 @@ class Certificate:
         return cls.from_dict(json.loads(text))
 
     def to_csv_row(self) -> str:
-        inv = self.invariants
-        eigen = "" if self.eigenspace_dim is None else str(self.eigenspace_dim)
+        t, inv = self.triple, self.invariants
         failed = ";".join(c.name for c in self.failed_conditions())
-        return (
-            f"{self.triple.p},{self.triple.q},{self.triple.r},{self.route},"
-            f"{inv.mu},{inv.sigma},{inv.sigma_plus},{inv.sigma_minus},"
-            f"{inv.d3},{eigen},{failed}"
-        )
+        return CSV_ROW % csv_fields(t.p, t.q, t.r, self.route, inv.mu, inv.sigma, inv.sigma_plus,
+                                    inv.sigma_minus, inv.d3, self.eigenspace_dim, failed)
 
     def to_text(self) -> str:
         inv = self.invariants
@@ -211,9 +223,13 @@ DIRECT_TABLE: tuple[ConditionRow, ...] = (
     ),
 )
 
-# Direct-route conditions on the invariants, (name, expected).  By the
-# consistency checks in direct_checks they hold exactly when the
-# quarter-genus row does.
+# Direct-route conditions on the invariants, (name, expected).  Both follow
+# from the quarter-genus row, which for odd q, r holds exactly when
+# q = r = 3 (mod 4): Sigma(2,q,r) is a homology sphere and the form is even,
+# so sigma = 0 (mod 8) by Rokhlin's theorem and b+ = g + sigma/2 = g (mod 4),
+# where g = (q-1)(r-1)/2 is 2 (mod 4) exactly when the quarter genus is odd;
+# the ledger flips exactly when b+ = 2 (mod 4).  direct_checks raises
+# ConsistencyError when the count's b+ breaks this chain.
 DIRECT_B_PLUS = ("direct.b_plus_2_mod_4", "b+ = 2 (mod 4), two independent routes")
 DIRECT_LEDGER = ("direct.ledger_flip", "framing change flips the torsion coordinate")
 
@@ -233,28 +249,54 @@ EMBEDDING_TABLE: tuple[ConditionRow, ...] = (
     ("embedding.r_at_least_7", "r >= 7", lambda p, q, r: f"r = {r}", lambda p, q, r: r >= 7),
 )
 
-_PREDICATES = {
-    ROUTE_DIRECT: tuple(row[3] for row in (DIRECT_GATE, *DIRECT_TABLE)),
-    ROUTE_EMBEDDING: tuple(row[3] for row in EMBEDDING_TABLE),
+_DIRECT_HOLDS = tuple(row[3] for row in (DIRECT_GATE, *DIRECT_TABLE))
+_EMBEDDING_HOLDS = tuple(row[3] for row in EMBEDDING_TABLE)
+_DIRECT_PREREQS, _DIRECT_PARITY = DIRECT_TABLE[:-1], DIRECT_TABLE[-1]
+
+# Checked (row, ok) pairs the route alone settles.  ok None marks a
+# condition left unevaluated because a direct prerequisite failed.
+_DIRECT_PASSED = tuple((row, True) for row in (*DIRECT_TABLE, DIRECT_B_PLUS, DIRECT_LEDGER))
+_DIRECT_UNEVALUATED = ((_DIRECT_PARITY, None), (DIRECT_B_PLUS, None), (DIRECT_LEDGER, None))
+_GATE_FAILED = ((DIRECT_GATE, False),)
+_EMBEDDING_PASSED = tuple((row, True) for row in EMBEDDING_TABLE)
+
+
+def _failed_names(checked) -> str:
+    return ";".join([row[0] for row, ok in checked if not ok])
+
+
+# The whole verdict of an EMBEDDING triple that the direct route does not
+# apply to (p != 2, or mode theorem2), by mode: most rows of a large scan.
+_EMBEDDING_VERDICT = {
+    mode: (checked, _failed_names(checked), 2, None)
+    for mode, checked in (("theorem2", _EMBEDDING_PASSED),
+                          ("all", _GATE_FAILED + _EMBEDDING_PASSED))
 }
 
 
-def route_holds(route: str, p: int, q: int, r: int) -> bool:
-    """Whether (p, q, r) meets every tabled condition of the route.
+def route_of(p: int, q: int, r: int, mode: str) -> str:
+    """The route (p, q, r) gets in mode, one of MODES: the first route the
+    mode tries whose tabled conditions all hold, else NONE.
 
-    Evaluates the predicates in table order and stops at the first that
-    fails; nothing is formatted.  certify_direct and certify_embedding give
-    their route exactly when this holds.
+    Evaluates the tables' predicates in order and stops at the first that
+    fails; nothing is formatted and no invariant is needed.
+
+    >>> route_of(2, 3, 7, "all"), route_of(2, 3, 7, "theorem2"), route_of(3, 4, 5, "all")
+    ('DIRECT', 'EMBEDDING', 'NONE')
     """
-    for holds in _PREDICATES[route]:
-        if not holds(p, q, r):
-            return False
-    return True
-
-
-def _condition(row: ConditionRow, p: int, q: int, r: int) -> Condition:
-    name, expected, actual, holds = row
-    return Condition(name, expected, actual(p, q, r), holds(p, q, r))
+    if mode != "theorem2":
+        for holds in _DIRECT_HOLDS:
+            if not holds(p, q, r):
+                break
+        else:
+            return ROUTE_DIRECT
+    if mode != "theorem1":
+        for holds in _EMBEDDING_HOLDS:
+            if not holds(p, q, r):
+                break
+        else:
+            return ROUTE_EMBEDDING
+    return ROUTE_NONE
 
 
 def direct_checks(q: int, r: int, b_plus: int, parity: bool) -> tuple[int, LedgerReport]:
@@ -279,83 +321,110 @@ def direct_checks(q: int, r: int, b_plus: int, parity: bool) -> tuple[int, Ledge
     return b_lemma, exoticness_ledger(b_plus, psi0_is_unit=True)
 
 
-def certify_direct(q: int, r: int, *, _inv: MilnorInvariants | None = None) -> Certificate:
+def verdict(p: int, q: int, r: int, b_plus: int, mode: str, route: str) -> tuple:
+    """The conditions of (p, q, r) in mode, checked against
+    route = route_of(p, q, r, mode), with b_plus the count's b+.
+
+    Returns (checked, failed, eigenspace_dim, ledger): the (row, ok) pairs
+    in certificate order (row a table row, DIRECT_B_PLUS or DIRECT_LEDGER;
+    ok None where a failed prerequisite left the row unevaluated), the
+    failed names joined as in a CSV row, the eigenspace dimension or None,
+    and the ledger report or None.  The rows of route pass as they stand.
+    Raises ConsistencyError where direct_checks does, and when route is
+    DIRECT but the ledger does not flip.
+
+    >>> verdict(3, 4, 7, 6, "all", "EMBEDDING")[1:]
+    ('direct.p_is_2', 2, None)
+    >>> verdict(2, 3, 5, 0, "theorem1", "NONE")[1]
+    'direct.quarter_genus_odd;direct.b_plus_2_mod_4;direct.ledger_flip'
+    """
+    if route == ROUTE_EMBEDDING and (p != 2 or mode == "theorem2"):
+        return _EMBEDDING_VERDICT[mode]
+    if route == ROUTE_DIRECT:
+        _, ledger = direct_checks(q, r, b_plus, True)
+        if not ledger.exotic:
+            raise ConsistencyError(
+                f"route precheck says DIRECT for (2,{q},{r}), but at b+ = {b_plus} "
+                f"the ledger does not flip"
+            )
+        return _DIRECT_PASSED, "", b_plus, ledger
+    checked, eigen, ledger = (), None, None
+    if mode != "theorem2" and p != 2:
+        checked = _GATE_FAILED
+    elif mode != "theorem2":
+        checked = tuple([(row, row[3](2, q, r)) for row in _DIRECT_PREREQS])
+        if all(ok for _, ok in checked):
+            parity = _DIRECT_PARITY[3](2, q, r)
+            _, ledger = direct_checks(q, r, b_plus, parity)
+            checked += ((_DIRECT_PARITY, parity), (DIRECT_B_PLUS, b_plus % 4 == 2),
+                        (DIRECT_LEDGER, ledger.exotic))
+            eigen = b_plus
+        else:
+            checked += _DIRECT_UNEVALUATED
+    if route == ROUTE_EMBEDDING:
+        checked += _EMBEDDING_PASSED
+        eigen = 2
+    elif mode != "theorem1":
+        checked += tuple([(row, row[3](p, q, r)) for row in EMBEDDING_TABLE])
+    return checked, _failed_names(checked), eigen, ledger
+
+
+_NOTES = {
+    ROUTE_DIRECT: (NOTE_SPIN, NOTE_DIRECT_EIGENSPACE, NOTE_PSI_UNIT),
+    ROUTE_EMBEDDING: (NOTE_SPIN, NOTE_EMBEDDING, NOTE_EMBEDDING_EIGENSPACE),
+    ROUTE_NONE: (NOTE_SPIN,),
+}
+
+
+def certificate(t: Triple, inv: MilnorInvariants, mode: str,
+                route: str | None = None) -> Certificate:
+    """The certificate of t in mode, one of MODES, with invariants inv,
+    formatted from its verdict.
+
+    route is route_of's for t and mode, computed here when not given.
+    """
+    p, q, r = t.p, t.q, t.r
+    if route is None:
+        route = route_of(p, q, r, mode)
+    b_plus = inv.sigma_plus
+    checked, _, eigen, ledger = verdict(p, q, r, b_plus, mode, route)
+    conditions = []
+    for row, ok in checked:
+        if ok is None:
+            actual = "not evaluated (prerequisites failed)"
+        elif row is DIRECT_B_PLUS:
+            # direct_checks raised unless the genus route gave the same b+
+            actual = f"b+ = {b_plus} (count) = {b_plus} (genus route)"
+        elif row is DIRECT_LEDGER and ledger.failed_hypothesis is not None:
+            actual = f"ledger hypothesis failed: {ledger.failed_hypothesis}"
+        elif row is DIRECT_LEDGER:
+            actual = (f"torsion {ledger.pulled_back.t} (pulled back) vs "
+                      f"{ledger.twisted.t} (re-framed)")
+        else:
+            actual = row[2](p, q, r)
+        conditions.append(Condition(row[0], row[1], actual, bool(ok)))
+    notes = _NOTES[route]
+    if route == ROUTE_DIRECT and min(q, r) == 3:
+        notes += (NOTE_Q3_PRIOR,)
+    return Certificate(t, route, tuple(conditions), inv, eigen, notes)
+
+
+def certify_direct(q: int, r: int) -> Certificate:
     """Certify the boundary twist of M_c(2,q,r) by the quarter-genus route.
 
     Invalid q, r produce failing conditions rather than exceptions (only
-    non-integers or values below 2 are rejected outright).
+    non-integers or values below 2 are rejected outright, by Triple).
     """
-    for name, value in (("q", q), ("r", r)):
-        if not isinstance(value, int) or value < 2:
-            raise PreconditionError(f"{name} must be an integer >= 2, got {value!r}")
-    *prereq_rows, parity_row = DIRECT_TABLE
-    conditions = [_condition(row, 2, q, r) for row in prereq_rows]
-    prereqs_ok = all(c.ok for c in conditions)
-    inv = _inv if _inv is not None else invariants(2, q, r)
-    eigenspace_dim: int | None = None
-    notes = [NOTE_SPIN]
-    if prereqs_ok:
-        conditions.append(_condition(parity_row, 2, q, r))
-        b_plus = inv.sigma_plus
-        b_lemma, ledger = direct_checks(q, r, b_plus, conditions[-1].ok)
-        conditions.append(
-            Condition(
-                *DIRECT_B_PLUS, f"b+ = {b_plus} (count) = {b_lemma} (genus route)",
-                b_plus % 4 == 2,
-            )
-        )
-        if ledger.failed_hypothesis is not None:
-            actual = f"ledger hypothesis failed: {ledger.failed_hypothesis}"
-        else:
-            actual = (
-                f"torsion {ledger.pulled_back.t} (pulled back) vs "
-                f"{ledger.twisted.t} (re-framed)"
-            )
-        conditions.append(Condition(*DIRECT_LEDGER, actual, ledger.exotic))
-        eigenspace_dim = b_plus
-    else:
-        unevaluated = "not evaluated (prerequisites failed)"
-        for cname, expectation in (parity_row[:2], DIRECT_B_PLUS, DIRECT_LEDGER):
-            conditions.append(Condition(cname, expectation, unevaluated, False))
-    route = ROUTE_DIRECT if all(c.ok for c in conditions) else ROUTE_NONE
-    if route == ROUTE_DIRECT:
-        notes.append(NOTE_DIRECT_EIGENSPACE)
-        notes.append(NOTE_PSI_UNIT)
-        if min(q, r) == 3:
-            notes.append(NOTE_Q3_PRIOR)
-    return Certificate(
-        triple=Triple(2, q, r),
-        route=route,
-        conditions=tuple(conditions),
-        invariants=inv,
-        eigenspace_dim=eigenspace_dim,
-        notes=tuple(notes),
-    )
+    return certificate(Triple(2, q, r), invariants(2, q, r), "theorem1")
 
 
-def certify_embedding(
-    p: int, q: int, r: int, *, _inv: MilnorInvariants | None = None
-) -> Certificate:
+def certify_embedding(p: int, q: int, r: int) -> Certificate:
     """Certify an exotic diffeomorphism of M_c(p,q,r) via an embedded
     M_c(2,3,7)."""
-    triple = Triple(p, q, r)
-    conditions = tuple(_condition(row, p, q, r) for row in EMBEDDING_TABLE)
-    passed = all(c.ok for c in conditions)
-    notes = [NOTE_SPIN]
-    if passed:
-        notes.append(NOTE_EMBEDDING)
-        notes.append(NOTE_EMBEDDING_EIGENSPACE)
-    return Certificate(
-        triple=triple,
-        route=ROUTE_EMBEDDING if passed else ROUTE_NONE,
-        conditions=conditions,
-        invariants=_inv if _inv is not None else invariants(p, q, r),
-        eigenspace_dim=2 if passed else None,
-        notes=tuple(notes),
-    )
+    return certificate(Triple(p, q, r), invariants(p, q, r), "theorem2")
 
 
-def certify(t: Triple, *, _inv: MilnorInvariants | None = None) -> Certificate:
+def certify(t: Triple) -> Certificate:
     """Dispatch: try the direct route for p = 2, then the embedding route.
 
     NONE certificates enumerate the failed conditions of both routes.  The
@@ -365,33 +434,4 @@ def certify(t: Triple, *, _inv: MilnorInvariants | None = None) -> Certificate:
     """
     if not isinstance(t, Triple):
         t = Triple(*t)
-    inv = _inv if _inv is not None else invariants(t.p, t.q, t.r)
-    gate = _condition(DIRECT_GATE, t.p, t.q, t.r)
-    if gate.ok:
-        direct = certify_direct(t.q, t.r, _inv=inv)
-        if direct.route == ROUTE_DIRECT:
-            return direct
-        direct_conditions = direct.conditions
-        direct_eigen = direct.eigenspace_dim
-        direct_notes = direct.notes
-    else:
-        direct_conditions = (gate,)
-        direct_eigen = None
-        direct_notes = (NOTE_SPIN,)
-    embedded = certify_embedding(t.p, t.q, t.r, _inv=inv)
-    seen: set[str] = set()
-    notes = tuple(
-        note
-        for note in (*direct_notes, *embedded.notes)
-        if not (note in seen or seen.add(note))
-    )
-    return Certificate(
-        triple=t,
-        route=embedded.route,
-        conditions=(*direct_conditions, *embedded.conditions),
-        invariants=inv,
-        eigenspace_dim=embedded.eigenspace_dim
-        if embedded.route == ROUTE_EMBEDDING
-        else direct_eigen,
-        notes=notes,
-    )
+    return certificate(t, invariants(t.p, t.q, t.r), "all")

@@ -1,23 +1,26 @@
 """Range scans: certify every triple in a box and emit a table.
 
 Triples are enumerated in lexicographic order; rows are emitted for
-route != NONE unless emit_all is set.  Three modes:
+route != NONE unless emit_all is set.  Three modes, those of certify.MODES:
 
   theorem1  pairs 3 <= q < r (p = 2 implied), quarter-genus route only
   theorem2  triples 2 <= p < q < r, embedding route only
   all       triples 2 <= p < q < r, full dispatch
 
-The route tables' predicates skip NONE triples before anything is counted.
+Every row is decided by certify's one path: certify.route_of skips NONE
+triples before anything is counted, and certify.verdict checks each
+emitted row against its route, running direct_checks on p = 2 rows (a row
+routed DIRECT whose ledger does not flip aborts the scan).  CSV and text
+rows lay out certify.csv_fields with the verdict's failed names and d3
+reduced from its numerator over 4, building no per-row object; JSON rows
+and scan_certificates build a certificate with certify.certificate.
+
 A task is one (p, q) pair: one milnor.positive_offsets array serves all its
-r values, and the r values it emits are counted in one batched
-milnor.offsets_count call; the first pairwise-coprime row a task counts
-has its sigma recomputed by milnor.dedekind_sigma, and a mismatch aborts
-the scan.  A CSV or text row is built straight from the integers and the
-route tables (failed-condition names, d3 reduced from its numerator over
-4); every p = 2 row whose direct prerequisites hold goes through
-certify.direct_checks, and a row the precheck routes DIRECT whose b+ is not
-2 mod 4 or whose ledger does not flip aborts the scan.  JSON rows and
-scan_certificates build full certificates through certify.
+r values, and the r values the cache lacks are counted in one batched
+milnor.offsets_count call.  The count's b+ and nullity, or the cache's, go
+through milnor.checked_inertia, which derives mu, b- and sigma.  The first
+pairwise-coprime row of a task has its sigma recomputed by
+milnor.dedekind_sigma, and a mismatch aborts the scan.
 
 stream_scan hands each task's rendered rows to a writer as soon as the task
 is done, in task order, so the scan holds one task's rows at a time (the
@@ -37,9 +40,8 @@ from typing import Callable
 
 from .arith import Triple
 from .cache import InvariantCache
-from .certify import (CSV_HEADER, DIRECT_B_PLUS, DIRECT_GATE, DIRECT_LEDGER, DIRECT_TABLE,
-                      EMBEDDING_TABLE, ROUTE_DIRECT, ROUTE_EMBEDDING, ROUTE_NONE, Certificate,
-                      certify, certify_direct, certify_embedding, direct_checks, route_holds)
+from .certify import (CSV_HEADER, CSV_ROW, MODES, ROUTE_NONE, Certificate, certificate,
+                      csv_fields, route_of, verdict)
 from .errors import ConsistencyError, PreconditionError
 from .milnor import (checked_inertia, d3_text, dedekind_sigma, from_counts, offsets_count,
                      positive_offsets)
@@ -48,18 +50,12 @@ from .torus_knot import knot_signature_seifert
 __all__ = ["MODES", "FORMATS", "SEIFERT_CHECK_LIMIT", "ScanConfig", "run_scan",
            "stream_scan", "scan_certificates"]
 
-MODES = ("theorem1", "theorem2", "all")
 FORMATS = ("json", "csv", "text")
 
 # Largest 2g for which scans cross-check the Seifert route by default.
 SEIFERT_CHECK_LIMIT = 240
 
 _TEXT_FMT = "{:>5} {:>5} {:>5}  {:<9}  {:>12} {:>12} {:>10} {:>10}  {:>16}  {:>4}  {}"
-
-# The direct table's prerequisite rows and its last row, evaluated only once
-# they hold; then the names of the three conditions that need them.
-_DIRECT_PREREQS, _DIRECT_PARITY = DIRECT_TABLE[:-1], DIRECT_TABLE[-1]
-_DIRECT_DEPENDENT = (_DIRECT_PARITY[0], DIRECT_B_PLUS[0], DIRECT_LEDGER[0])
 
 
 @dataclass(frozen=True)
@@ -103,72 +99,21 @@ def _init_worker(cfg: ScanConfig) -> None:
     _CACHE_WRITES = False
 
 
-def _route_decision(p: int, q: int, r: int, mode: str) -> str:
-    """Route a certificate would get, from the route tables' predicates."""
-    if mode != "theorem2" and route_holds(ROUTE_DIRECT, p, q, r):
-        return ROUTE_DIRECT
-    if mode != "theorem1" and route_holds(ROUTE_EMBEDDING, p, q, r):
-        return ROUTE_EMBEDDING
-    return ROUTE_NONE
-
-
-def _failed(rows, p: int, q: int, r: int) -> list[str]:
-    return [row[0] for row in rows if not row[3](p, q, r)]
-
-
-def _direct_verdict(q: int, r: int, b_plus: int, route: str) -> tuple[list[str], int | None]:
-    """Failed direct-route condition names of (2, q, r) and the eigenspace
-    dimension the direct route records, as certify_direct finds them."""
-    failed = _failed(_DIRECT_PREREQS, 2, q, r)
-    if failed:
-        return failed + list(_DIRECT_DEPENDENT), None
-    parity = _DIRECT_PARITY[3](2, q, r)
-    _, ledger = direct_checks(q, r, b_plus, parity)
-    if route == ROUTE_DIRECT and (b_plus % 4 != 2 or not ledger.exotic):
-        raise ConsistencyError(
-            f"route precheck says DIRECT for (2,{q},{r}), but b+ = {b_plus} and "
-            f"the ledger {'flips' if ledger.exotic else 'does not flip'}"
-        )
-    oks = (parity, b_plus % 4 == 2, ledger.exotic)
-    return [name for name, ok in zip(_DIRECT_DEPENDENT, oks) if not ok], b_plus
-
-
-def _row(p: int, q: int, r: int, route: str, inertia: tuple, _cached) -> str:
-    """The CSV or text row of a triple, from its inertia and the route tables."""
+def _row(p: int, q: int, r: int, route: str, inertia: tuple) -> str:
+    """The CSV or text row of a triple, from its inertia and its verdict."""
     cfg = _CFG
     mu, b_plus, b_minus, _, sigma = inertia
-    failed: list[str] = []
-    eigen: int | None = None
-    if cfg.mode != "theorem2":
-        if p == 2:
-            failed, eigen = _direct_verdict(q, r, b_plus, route)
-        else:
-            failed = [DIRECT_GATE[0]]
-    if route == ROUTE_EMBEDDING:
-        eigen = 2
-    elif route == ROUTE_NONE and cfg.mode != "theorem1":
-        failed += _failed(EMBEDDING_TABLE, p, q, r)
-    fields = (p, q, r, route, mu, sigma, b_plus, b_minus, d3_text(sigma, b_plus),
-              "" if eigen is None else eigen, ";".join(failed))
+    _, failed, eigen, _ = verdict(p, q, r, b_plus, cfg.mode, route)
+    fields = csv_fields(p, q, r, route, mu, sigma, b_plus, b_minus, d3_text(sigma, b_plus),
+                        eigen, failed)
     if cfg.format == "csv":
-        return ",".join(map(str, fields))
+        return CSV_ROW % fields
     return _TEXT_FMT.format(*fields).rstrip()
 
 
-def _certificate(p: int, q: int, r: int, route: str, inertia: tuple, cached) -> Certificate:
-    inv = cached if cached is not None else from_counts(p, q, r, inertia[1], inertia[3])
-    if _CFG.mode == "theorem1":
-        cert = certify_direct(q, r, _inv=inv)
-    elif _CFG.mode == "theorem2":
-        cert = certify_embedding(p, q, r, _inv=inv)
-    else:
-        cert = certify(Triple(p, q, r), _inv=inv)
-    if cert.route != route:
-        raise ConsistencyError(
-            f"route precheck {route} disagrees with certificate "
-            f"{cert.route} for ({p},{q},{r})"
-        )
-    return cert
+def _certificate(p: int, q: int, r: int, route: str, inertia: tuple) -> Certificate:
+    inv = from_counts(p, q, r, inertia[1], inertia[3])
+    return certificate(Triple(p, q, r), inv, _CFG.mode, route)
 
 
 def _header(fmt: str) -> str:
@@ -197,16 +142,16 @@ def _seifert_cross_check(q: int, r: int, sig_count: int, cfg: ScanConfig) -> Non
 
 
 def _task(task: tuple[int, int], build: Callable) -> list:
-    """build(p, q, r, route, inertia, cached) for each triple the task
-    emits, where inertia is (mu, b+, b-, nullity, sigma) and cached the
-    cache's record of the triple or None.  The triples the cache lacks are
-    counted in one batch."""
+    """build(p, q, r, route, inertia) for each triple the task emits, where
+    inertia is checked_inertia's (mu, b+, b-, nullity, sigma) from the
+    cache's b+ and nullity of the triple or, for the triples the cache
+    lacks, from one batched count."""
     cfg = _CFG
     assert cfg is not None
     p, q = task
     emitted = []
     for r in range(q + 1, cfg.r_max + 1):
-        route = _route_decision(p, q, r, cfg.mode)
+        route = route_of(p, q, r, cfg.mode)
         if route != ROUTE_NONE or cfg.emit_all:
             emitted.append((r, route, _CACHE.lookup(p, q, r) if _CACHE is not None else None))
     missing = [r for r, _, cached in emitted if cached is None]
@@ -215,14 +160,10 @@ def _task(task: tuple[int, int], build: Callable) -> list:
     unchecked = math.gcd(p, q) == 1  # no row of the task is pairwise coprime otherwise
     out = []
     for r, route, cached in emitted:
-        if cached is None:
-            b_plus, nullity = next(counts)
-            inertia = checked_inertia(p, q, r, b_plus, nullity)
-        else:
-            inertia = (cached.mu, cached.sigma_plus, cached.sigma_minus, cached.nullity,
-                       cached.sigma)
-        out.append(build(p, q, r, route, inertia, cached))
-        if unchecked and cached is None and math.gcd(q, r) == math.gcd(p, r) == 1:
+        b_plus, nullity = next(counts) if cached is None else (cached.sigma_plus, cached.nullity)
+        inertia = checked_inertia(p, q, r, b_plus, nullity)
+        out.append(build(p, q, r, route, inertia))
+        if unchecked and math.gcd(q, r) == math.gcd(p, r) == 1:
             unchecked = False
             sigma = dedekind_sigma(p, q, r)
             if sigma != inertia[4]:
@@ -232,8 +173,8 @@ def _task(task: tuple[int, int], build: Callable) -> list:
                 )
         if p == 2 and math.gcd(q, r) == 1:
             _seifert_cross_check(q, r, inertia[4], cfg)
-        if cached is None and _CACHE is not None and _CACHE_WRITES:
-            _CACHE.store(p, q, r, from_counts(p, q, r, inertia[1], inertia[3]))
+        if cached is None and _CACHE_WRITES:
+            _CACHE.store(p, q, r, from_counts(p, q, r, b_plus, nullity))
     return out
 
 

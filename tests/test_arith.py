@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from exotwist.arith import Triple, is_pairwise_coprime, quarter_genus_is_odd
@@ -59,7 +61,12 @@ class TestQuarterGenusParity:
 
     def test_quarter_genus_is_integer_for_odd_pairs(self):
         # (q-1)(r-1) is divisible by 4 whenever q, r are both odd, so the
-        # parity question is well posed on the whole domain
+        # parity question is well posed on the whole domain; the quarter
+        # genus is odd exactly when q = r = 3 (mod 4)
         for q in range(3, 30, 2):
             for r in range(3, 30, 2):
                 assert (q - 1) * (r - 1) % 4 == 0
+                odd = (q - 1) * (r - 1) // 4 % 2 == 1
+                assert odd == (q % 4 == r % 4 == 3), (q, r)
+                if math.gcd(q, r) == 1:
+                    assert quarter_genus_is_odd(q, r) == odd, (q, r)

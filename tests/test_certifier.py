@@ -161,6 +161,13 @@ def test_csv_row_pin():
     row = certify(Triple(3, 4, 5)).to_csv_row()
     assert row.startswith("3,4,5,NONE,24,-16,4,20,-1/2,,")
     assert "direct.p_is_2" in row
+    assert certify(Triple(3, 4, 7)).to_csv_row() == (
+        "3,4,7,EMBEDDING,36,-24,6,30,-1/2,2,direct.p_is_2"
+    )
+    assert certify(Triple(2, 5, 7)).to_csv_row() == (
+        "2,5,7,EMBEDDING,24,-16,4,20,-1/2,2,"
+        "direct.quarter_genus_odd;direct.b_plus_2_mod_4;direct.ledger_flip"
+    )
 
 
 def test_text_rendering_mentions_route_and_conditions():

@@ -159,6 +159,25 @@ class TestScan:
         assert captured.out == ""
         assert captured.err.startswith("error: internal defect: ")
 
+    def test_seifert_limit_and_forced_check(self, monkeypatch, capsys):
+        real = exotwist.scan.knot_signature_seifert
+        monkeypatch.setattr(
+            exotwist.scan, "knot_signature_seifert",
+            lambda q, r, **kw: real(q, r, **kw) + 8,
+        )
+        monkeypatch.setattr(exotwist.scan, "SEIFERT_CHECK_LIMIT", 0)
+        base = dict(q_max=11, r_max=11, mode="theorem1", format="csv")
+        assert _triples(run_scan(ScanConfig(**base))) == [(2, 3, 7), (2, 3, 11), (2, 7, 11)]
+        with pytest.raises(ConsistencyError, match="Seifert"):
+            run_scan(ScanConfig(force_seifert_check=True, **base))
+        argv = ["scan", "--mode", "theorem1", "--q-max", "11", "--r-max", "11"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--force-seifert-check"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal defect: sigma(T(3,")
+
     def test_cache_byte_identical_and_accelerating(self, tmp_path):
         cache_file = tmp_path / "inv.jsonl"
         base = dict(q_max=20, r_max=20, mode="all", format="csv")
@@ -175,6 +194,35 @@ class TestScan:
         cache = InvariantCache(cache_file)
         assert cache.lookup_signature(3, 7, "seifert") == -8
         assert cache.lookup_signature(3, 7, "count") == -8
+
+    def test_edited_cache_record_is_recomputed_or_refused(self, tmp_path, capsys):
+        cache_file = tmp_path / "inv.jsonl"
+        base = dict(q_max=7, r_max=7, mode="theorem2")
+        want = {fmt: run_scan(ScanConfig(format=fmt, **base)) for fmt in ("csv", "json")}
+        run_scan(ScanConfig(format="csv", cache_path=str(cache_file), **base))
+        lines = cache_file.read_text().splitlines()
+
+        def edit(field, value):
+            out = []
+            for line in lines:
+                rec = json.loads(line)
+                if (rec["p"], rec["q"], rec["r"]) == (2, 5, 7):
+                    rec["invariants"][field] = value
+                out.append(json.dumps(rec))
+            cache_file.write_text("\n".join(out) + "\n")
+
+        # mu, b- and sigma are derived, so an edit to them changes no byte
+        edit("mu", 999)
+        for fmt, table in want.items():
+            assert run_scan(ScanConfig(format=fmt, cache_path=str(cache_file), **base)) == table
+        # an edited b+ contradicts the Dedekind-sum sigma (true b+ is 4)
+        edit("sigma_plus", 8)
+        with pytest.raises(ConsistencyError, match=r"\(2,5,7\)"):
+            run_scan(ScanConfig(format="csv", cache_path=str(cache_file), **base))
+        argv = ["scan", "--mode", "theorem2", "--q-max", "7", "--r-max", "7",
+                "--cache", str(cache_file)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: internal defect: ")
 
     def test_missing_cache_directory_is_an_io_error(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "c.jsonl"
@@ -256,7 +304,7 @@ class TestRowPath:
         def refuse(*args, **kwargs):
             raise AssertionError("a scan row built a per-row object")
 
-        for name in ("certify", "certify_direct", "certify_embedding", "Triple", "from_counts"):
+        for name in ("certificate", "Triple", "from_counts"):
             monkeypatch.setattr(exotwist.scan, name, refuse)
         certify_module = sys.modules["exotwist.certify"]
         for name in ("Certificate", "Condition"):
@@ -265,6 +313,24 @@ class TestRowPath:
         assert [run_scan(cfg) for cfg in configs] == want
         with pytest.raises(AssertionError, match="per-row object"):
             run_scan(ScanConfig(q_max=30, r_max=30, format="json"))
+
+    def test_one_verdict_path(self, monkeypatch):
+        # certify's three modes and every scan format decide through verdict
+        certify_module = sys.modules["exotwist.certify"]
+        assert exotwist.scan.verdict is certify_module.verdict
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verdict called")
+
+        monkeypatch.setattr(certify_module, "verdict", refuse)
+        monkeypatch.setattr(exotwist.scan, "verdict", refuse)
+        for call in (lambda: certify(Triple(3, 4, 5)), lambda: certify_direct(3, 7),
+                     lambda: certify_embedding(3, 4, 7)):
+            with pytest.raises(AssertionError, match="verdict called"):
+                call()
+        for fmt in FORMATS:
+            with pytest.raises(AssertionError, match="verdict called"):
+                run_scan(ScanConfig(q_max=7, r_max=7, format=fmt))
 
     def test_ledger_that_does_not_flip_aborts_the_scan(self, monkeypatch):
         # the precheck routes (2,3,7) DIRECT; every format must refuse the row
