@@ -376,16 +376,11 @@ _NOTES = {
 }
 
 
-def certificate(t: Triple, inv: MilnorInvariants, mode: str,
-                route: str | None = None) -> Certificate:
+def certificate(t: Triple, inv: MilnorInvariants, mode: str) -> Certificate:
     """The certificate of t in mode, one of MODES, with invariants inv,
-    formatted from its verdict.
-
-    route is route_of's for t and mode, computed here when not given.
-    """
+    formatted from its verdict."""
     p, q, r = t.p, t.q, t.r
-    if route is None:
-        route = route_of(p, q, r, mode)
+    route = route_of(p, q, r, mode)
     b_plus = inv.sigma_plus
     checked, _, eigen, ledger = verdict(p, q, r, b_plus, mode, route)
     conditions = []

@@ -111,9 +111,9 @@ def _row(p: int, q: int, r: int, route: str, inertia: tuple) -> str:
     return _TEXT_FMT.format(*fields).rstrip()
 
 
-def _certificate(p: int, q: int, r: int, route: str, inertia: tuple) -> Certificate:
+def _certificate(p: int, q: int, r: int, _route: str, inertia: tuple) -> Certificate:
     inv = from_counts(p, q, r, inertia[1], inertia[3])
-    return certificate(Triple(p, q, r), inv, _CFG.mode, route)
+    return certificate(Triple(p, q, r), inv, _CFG.mode)
 
 
 def _header(fmt: str) -> str:
