@@ -24,6 +24,6 @@ from .milnor import (MilnorInvariants, b_plus_via_lemma, brieskorn_count, from_c
 from .scan import ScanConfig, run_scan, scan_certificates, stream_scan
 from .torus_knot import (BraidWord, SeifertMatrix, SignatureResult, knot_signature_count,
                          knot_signature_glm, knot_signature_seifert, seifert_matrix,
-                         slice_genus, symmetric_signature, torus_braid)
+                         seifert_signatures, slice_genus, symmetric_signature, torus_braid)
 
 __version__ = "0.1.0"

@@ -259,8 +259,11 @@ def from_counts(p: int, q: int, r: int, sigma_plus: int, nullity: int) -> Milnor
     -8
     """
     _validate_exponents(p, q, r)
-    inertia = checked_inertia(p, q, r, sigma_plus, nullity)
-    return MilnorInvariants(*inertia, d3=_d3(inertia[4], sigma_plus))
+    return _record(checked_inertia(p, q, r, sigma_plus, nullity))
+
+
+def _record(inertia: tuple) -> MilnorInvariants:
+    return MilnorInvariants(*inertia, d3=_d3(inertia[4], inertia[1]))
 
 
 def invariants(p: int, q: int, r: int) -> MilnorInvariants:
@@ -269,6 +272,7 @@ def invariants(p: int, q: int, r: int) -> MilnorInvariants:
     Pairwise-coprime triples take sigma from dedekind_sigma, with nullity 0
     and b+ = (mu + sigma)/2, and import no numpy.  Other triples are counted
     by brieskorn_count, whose nullity must match Milnor-Orlik's closed form.
+    Whichever of the two runs validates the exponents, once per call.
 
     >>> inv = invariants(2, 3, 5)
     >>> (inv.mu, inv.sigma, inv.sigma_plus, inv.d3)
@@ -278,21 +282,23 @@ def invariants(p: int, q: int, r: int) -> MilnorInvariants:
     >>> invariants(3, 3, 3).nullity
     2
     """
-    _validate_exponents(p, q, r)
-    gpq, gqr, gpr = math.gcd(p, q), math.gcd(q, r), math.gcd(p, r)
-    if gpq == gqr == gpr == 1:
-        mu_plus_sigma = (p - 1) * (q - 1) * (r - 1) + dedekind_sigma(p, q, r)
+    try:
+        gcds = math.gcd(p, q), math.gcd(q, r), math.gcd(p, r)
+    except TypeError:  # a non-integer exponent, which brieskorn_count refuses
+        gcds = None
+    if gcds == (1, 1, 1):
+        mu_plus_sigma = dedekind_sigma(p, q, r) + (p - 1) * (q - 1) * (r - 1)
         if mu_plus_sigma % 2:
             raise ConsistencyError(f"Dedekind-sum sigma of ({p}, {q}, {r}) has the wrong parity")
-        return from_counts(p, q, r, mu_plus_sigma // 2, 0)
+        return _record(checked_inertia(p, q, r, mu_plus_sigma // 2, 0))
     sigma_plus, _, nullity = brieskorn_count(p, q, r)
-    link_b1 = 2 + p * q * r // math.lcm(p, q, r) - gpq - gqr - gpr
+    link_b1 = 2 + p * q * r // math.lcm(p, q, r) - sum(gcds)
     if nullity != link_b1:
         raise ConsistencyError(
             f"nullity of ({p}, {q}, {r}) disagrees between count ({nullity}) and "
             f"Milnor-Orlik ({link_b1})"
         )
-    return from_counts(p, q, r, sigma_plus, nullity)
+    return _record(checked_inertia(p, q, r, sigma_plus, nullity))
 
 
 def b_plus_via_lemma(q: int, r: int) -> int:

@@ -28,7 +28,9 @@ CSV and text header goes with the first task).  Workers, at most one per
 CPU, run the tasks under Pool.imap, so output is byte-identical for any
 jobs count; an error in a task or in the writer ends the pool.  A Seifert
 matrix cross-checks sigma on every coprime p = 2 row with 2g <= 240 (by
-default); any disagreement aborts the scan.
+default); any disagreement aborts the scan.  A (2, q) task takes the Seifert
+signatures the cache lacks from one torus_knot.seifert_signatures call (one
+elimination, for its largest r) and compares them row by row.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .certify import (CSV_HEADER, CSV_ROW, MODES, ROUTE_NONE, Certificate, certi
 from .errors import ConsistencyError, PreconditionError
 from .milnor import (checked_inertia, d3_text, dedekind_sigma, from_counts, offsets_count,
                      positive_offsets)
-from .torus_knot import knot_signature_seifert
+from .torus_knot import seifert_signatures
 
 __all__ = ["MODES", "FORMATS", "SEIFERT_CHECK_LIMIT", "ScanConfig", "run_scan",
            "stream_scan", "scan_certificates"]
@@ -123,24 +125,6 @@ def _header(fmt: str) -> str:
     return _TEXT_FMT.format(*columns).rstrip() + "\n"
 
 
-def _seifert_cross_check(q: int, r: int, sig_count: int, cfg: ScanConfig) -> None:
-    """Recompute sigma(T(q,r)) from a Seifert matrix and compare."""
-    two_g = (q - 1) * (r - 1)
-    if two_g > SEIFERT_CHECK_LIMIT and not cfg.force_seifert_check:
-        return
-    sig_seifert = _CACHE.lookup_signature(q, r, "seifert") if _CACHE else None
-    fresh = sig_seifert is None
-    if sig_seifert is None:
-        sig_seifert = knot_signature_seifert(q, r, dim_limit=two_g)
-    if sig_seifert != sig_count:
-        raise ConsistencyError(
-            f"sigma(T({q},{r})) disagrees: {sig_seifert} (Seifert) vs "
-            f"{sig_count} (count)"
-        )
-    if fresh and _CACHE is not None and _CACHE_WRITES:
-        _CACHE.store_signature(q, r, sig_count=sig_count, sig_seifert=sig_seifert)
-
-
 def _task(task: tuple[int, int], build: Callable) -> list:
     """build(p, q, r, route, inertia) for each triple the task emits, where
     inertia is checked_inertia's (mu, b+, b-, nullity, sigma) from the
@@ -158,6 +142,15 @@ def _task(task: tuple[int, int], build: Callable) -> list:
     if missing:
         counts = zip(*offsets_count(p, q, missing, positive_offsets(p, q)))
     unchecked = math.gcd(p, q) == 1  # no row of the task is pairwise coprime otherwise
+    seifert = {}  # r: sigma(T(q,r)) by Seifert for each row checked, None if not cached
+    if p == 2:
+        for r, _, _ in emitted:
+            if math.gcd(q, r) == 1 and ((q - 1) * (r - 1) <= SEIFERT_CHECK_LIMIT
+                                        or cfg.force_seifert_check):
+                seifert[r] = _CACHE.lookup_signature(q, r, "seifert") if _CACHE else None
+    fresh = {r for r, sig in seifert.items() if sig is None}
+    if fresh:  # one elimination serves every row of the task
+        seifert.update(seifert_signatures(q, fresh, dim_limit=(q - 1) * (max(fresh) - 1)))
     out = []
     for r, route, cached in emitted:
         b_plus, nullity = next(counts) if cached is None else (cached.sigma_plus, cached.nullity)
@@ -171,8 +164,14 @@ def _task(task: tuple[int, int], build: Callable) -> list:
                     f"sigma of ({p},{q},{r}) disagrees: {inertia[4]} (count) vs "
                     f"{sigma} (Dedekind sums)"
                 )
-        if p == 2 and math.gcd(q, r) == 1:
-            _seifert_cross_check(q, r, inertia[4], cfg)
+        if r in seifert:
+            if seifert[r] != inertia[4]:
+                raise ConsistencyError(
+                    f"sigma(T({q},{r})) disagrees: {seifert[r]} (Seifert) vs "
+                    f"{inertia[4]} (count)"
+                )
+            if r in fresh and _CACHE_WRITES:
+                _CACHE.store_signature(q, r, sig_count=inertia[4], sig_seifert=seifert[r])
         if cached is None and _CACHE_WRITES:
             _CACHE.store(p, q, r, from_counts(p, q, r, b_plus, nullity))
     return out

@@ -18,14 +18,22 @@ never matters: a pivot's sign, the zero pattern and the ratios within a row
 are those of the true complement, and they are all the elimination reads.
 Pivoting on row i turns each row k that meets it into
 sign(p)*(p*row_k - row_k[i]*row_i), a positive multiple of row k of S/p,
-then divides it by its content gcd so the entries stay small.  A zero pivot
-first swaps with the first later nonzero diagonal entry.  When every
-remaining diagonal entry is zero, row i and a mate m with b = S[i][m] != 0
-split off as the block [[0, b], [b, 0]], one positive and one negative
-square.  A row that vanishes is a kernel vector and counts toward the
-nullity.  With bricks ordered by position V + V^T has bandwidth q - 1, and
-pivots taken in order keep the fill inside the band: about n*(q-1)^2
-integer operations for dimension n = (q-1)(r-1).
+then divides it by its content gcd so the entries stay small.  Pivots go
+strictly in order: a zero pivot i pairs with its nearest column m as the
+block [[0, b], [b, d]], whose determinant -b^2 < 0 makes one positive and
+one negative square (Bunch-Kaufman 1977).  A row that vanishes is a kernel
+vector and counts toward the nullity.
+
+So the counts after the first k rows are the inertia of the leading k x k
+block, unless a 2x2 block straddles k.  The bricks of (s1 ... s_{q-1})^r,
+ordered by top position, are the first (q-1)(r-1) bricks of the same braid
+to any power R > r, and a linking number depends only on its two bricks, so
+V(q,r) is the leading block of V(q,R): one elimination for the largest r
+gives sigma(T(q,r)) for every smaller r.  A knot's block is nonsingular (its
+determinant is odd), so no 2x2 block straddles its bound: if one did, the
+block's Schur complement would have a zero row.  V + V^T has bandwidth q - 1,
+and pivots taken in order keep the fill inside the band: about n*(q-1)^2
+integer operations for dimension n = (q-1)(R-1).
 
 Sign convention: positive (right-handed) torus knots have negative signature,
 so the trefoil T(2,3) has signature -2.  The convention is locked by the
@@ -48,12 +56,12 @@ from .errors import (
 from .milnor import brieskorn_count
 
 __all__ = ["BraidWord", "SeifertMatrix", "SignatureResult", "slice_genus", "torus_braid",
-           "seifert_matrix", "symmetric_signature", "knot_signature_seifert",
+           "seifert_matrix", "symmetric_signature", "seifert_signatures", "knot_signature_seifert",
            "knot_signature_count", "knot_signature_glm", "DEFAULT_SEIFERT_DIM_LIMIT"]
 
-# Default cap on the symmetrized-form dimension n = 2g = (q-1)(r-1); the
-# banded elimination costs about n*w^2 integer operations for bandwidth w,
-# and the lattice count serves beyond the cap.
+# Default cap on the symmetrized-form dimension n = 2g = (q-1)(r-1) of the
+# largest r; its one banded elimination, about n*w^2 integer operations for
+# bandwidth w = q-1, serves every smaller r.  The count serves beyond the cap.
 DEFAULT_SEIFERT_DIM_LIMIT = 600
 
 
@@ -229,50 +237,48 @@ def _combine(scale: int, row: dict[int, int], terms) -> dict[int, int]:
     return out if g == 1 else {t: v // g for t, v in out.items()}
 
 
-def _inertia(rows: dict[int, dict[int, int]]) -> SignatureResult:
-    """Inertia of the symmetric form whose row i is rows[i], a dict of its
-    nonzero entries keyed by column, for rows keyed 0..n-1 in order.
+def _inertia(rows: dict[int, dict[int, int]], bounds) -> dict[int, tuple | None]:
+    """(positive, negative, null) counts of the leading k x k block of the
+    symmetric form whose row i is rows[i], a dict of its nonzero entries
+    keyed by column, for each k in bounds; None where a 2x2 pivot straddles k.
 
-    Each row may carry its own positive factor; see the module docstring for
-    the steps.  The dict is consumed.
+    Rows are keyed 0..n-1 and may carry their own positive factors; see the
+    module docstring for the steps.  The dict is consumed.
     """
+    n = len(rows)
     pos = neg = null = 0
-    for i in range(len(rows)):
-        while i in rows:  # every row before i is eliminated
-            row = rows[i]
-            if not row:
-                del rows[i]  # the row vanishes: a kernel vector
-                null += 1
-                continue
-            # a zero pivot swaps with the first later nonzero diagonal
-            j = i if i in row else next((k for k, rk in rows.items() if k in rk), None)
-            if j is not None:
-                row_j = rows.pop(j)
-                p = row_j.pop(j)
-                if p > 0:
-                    pos, sign = pos + 1, 1
-                else:
-                    neg, sign = neg + 1, -1
-                for k in row_j:
-                    row_k = rows[k]
-                    rows[k] = _combine(sign * p, row_k, ((sign * row_k.pop(j), row_j),))
-                continue
-            # every diagonal entry left is zero: take the 2x2 block
-            # [[0, b], [b, 0]] on i and a mate, one positive and one negative
-            mate = min(row)
-            row_i, row_m = rows.pop(i), rows.pop(mate)
-            b_i, b_m = row_i.pop(mate), row_m.pop(i)
+    marks: dict[int, tuple | None] = {}
+    for i in range(n + 1):
+        if i in bounds:  # rows before i are eliminated; a row past it is a mate
+            marks[i] = (pos, neg, null) if len(rows) == n - i else None
+        row = rows.pop(i, None)
+        if row is None:  # past the last row, or taken as a mate
+            continue
+        if not row:
+            null += 1  # the row vanishes: a kernel vector
+        elif i in row:
+            p = row.pop(i)
+            if p > 0:
+                pos, sign = pos + 1, 1
+            else:
+                neg, sign = neg + 1, -1
+            for k in row:
+                row_k = rows[k]
+                rows[k] = _combine(sign * p, row_k, ((sign * row_k.pop(i), row),))
+        else:
+            # the 2x2 block [[0, b], [b, d]] on i and its nearest column m
+            m = min(row)
+            row_m = rows.pop(m)
+            b_i, b_m, d = row.pop(m), row_m.pop(i), row_m.pop(m, 0)
             pos += 1
             neg += 1
-            for k in row_i.keys() | row_m.keys():
+            for k in row.keys() | row_m.keys():
                 row_k = rows[k]
-                f_i, f_m = row_k.pop(i, 0), row_k.pop(mate, 0)
+                f_i, f_m = row_k.pop(i, 0), row_k.pop(m, 0)
                 rows[k] = _combine(
-                    b_i * b_m, row_k, ((f_i * b_i, row_m), (f_m * b_m, row_i))
+                    b_i * b_m, row_k, ((f_m * b_m - f_i * d, row), (f_i * b_i, row_m))
                 )
-    return SignatureResult(
-        signature=pos - neg, nullity=null, positive_count=pos, negative_count=neg
-    )
+    return marks
 
 
 def symmetric_signature(m) -> SignatureResult:
@@ -287,7 +293,7 @@ def symmetric_signature(m) -> SignatureResult:
     >>> symmetric_signature([[0, 1], [1, 0]]).nullity
     0
 
-    With a zero diagonal throughout, the 2x2 step takes a hyperbolic pair,
+    The zero pivot pairs with its nearest column as a hyperbolic 2x2 block,
     and what remains of the third row vanishes:
 
     >>> symmetric_signature([[0, 1, 0], [1, 0, 2], [0, 2, 0]])
@@ -308,7 +314,48 @@ def symmetric_signature(m) -> SignatureResult:
         except AttributeError:
             raise PreconditionError("matrix entries must be integers or fractions") from None
         rows[i] = {j: int(x * den) for j, x in enumerate(row) if x}
-    return _inertia(rows)
+    pos, neg, null = _inertia(rows, {n})[n]
+    return SignatureResult(
+        signature=pos - neg, nullity=null, positive_count=pos, negative_count=neg
+    )
+
+
+def seifert_signatures(q: int, rs, *, dim_limit: int = DEFAULT_SEIFERT_DIM_LIMIT) -> dict[int, int]:
+    """{r: signature of T(q,r)} for the r in rs, from one elimination of
+    V + V^T for the largest r: each smaller form is a leading block of it.
+
+    Capped by dim_limit on (q-1)(r-1) for the largest r; use
+    knot_signature_count beyond it.
+
+    >>> seifert_signatures(3, [7, 4, 5, 7])
+    {4: -6, 5: -8, 7: -8}
+    """
+    rs = sorted(set(rs))
+    for r in rs:
+        _require_coprime(q, r)
+    if not rs:
+        return {}
+    dim = (q - 1) * (rs[-1] - 1)
+    if dim > dim_limit:
+        raise DimensionLimitError(
+            f"symmetrized Seifert form of T({q},{rs[-1]}) has dimension {dim} > limit {dim_limit}"
+        )
+    v = _seifert_rows(torus_braid(q, rs[-1]))
+    sym: dict[int, dict[int, int]] = {x: {} for x in range(len(v))}
+    for x, row in enumerate(v):
+        for y, value in row.items():
+            sym[x][y] = sym[x].get(y, 0) + value
+            sym[y][x] = sym[y].get(x, 0) + value
+    for x, row in sym.items():
+        sym[x] = {y: value for y, value in row.items() if value}
+    marks = _inertia(sym, {(q - 1) * (r - 1) for r in rs})
+    out = {}
+    for r in rs:
+        mark = marks[(q - 1) * (r - 1)]
+        if mark is None or mark[2]:
+            raise ConsistencyError(f"symmetrized Seifert form of T({q},{r}) is singular")
+        out[r] = mark[0] - mark[1]
+    return out
 
 
 def knot_signature_seifert(q: int, r: int, *, dim_limit: int = DEFAULT_SEIFERT_DIM_LIMIT) -> int:
@@ -321,21 +368,7 @@ def knot_signature_seifert(q: int, r: int, *, dim_limit: int = DEFAULT_SEIFERT_D
     >>> knot_signature_seifert(3, 5)
     -8
     """
-    _require_coprime(q, r)
-    dim = (q - 1) * (r - 1)
-    if dim > dim_limit:
-        raise DimensionLimitError(
-            f"symmetrized Seifert form of T({q},{r}) has dimension {dim} > limit {dim_limit}"
-        )
-    v = _seifert_rows(torus_braid(q, r))
-    sym: dict[int, dict[int, int]] = {x: {} for x in range(len(v))}
-    for x, row in enumerate(v):
-        for y, value in row.items():
-            sym[x][y] = sym[x].get(y, 0) + value
-            sym[y][x] = sym[y].get(x, 0) + value
-    for x, row in sym.items():
-        sym[x] = {y: value for y, value in row.items() if value}
-    return _inertia(sym).signature
+    return seifert_signatures(q, [r], dim_limit=dim_limit)[r]
 
 
 def knot_signature_count(q: int, r: int) -> int:

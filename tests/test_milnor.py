@@ -205,6 +205,24 @@ def test_dedekind_sigma_matches_count_unsorted(triple):
         assert dedekind_sigma(*perm) == sigma_plus - sigma_minus
 
 
+def test_invariants_validate_the_exponents_once(monkeypatch):
+    calls = []
+    real = milnor._validate_exponents
+    monkeypatch.setattr(milnor, "_validate_exponents", lambda *e: calls.append(e) or real(*e))
+    for triple in [(2, 3, 7), (4, 6, 8), (3, 3, 3), (7, 2, 3)]:
+        calls.clear()
+        invariants(*triple)
+        assert calls == [triple]
+    for bad in [(1, 3, 7), (2, 3.0, 7), (0, 4, 6), (2, "3", 7)]:
+        for fn in (invariants, brieskorn_count, milnor_number):
+            with pytest.raises(PreconditionError, match="exponent"):
+                fn(*bad)
+        with pytest.raises(PreconditionError, match="exponent"):
+            from_counts(*bad, 0, 0)
+    with pytest.raises(PreconditionError, match="exponent"):
+        dedekind_sigma(1, 3, 7)
+
+
 def test_coprime_invariants_need_no_count(monkeypatch):
     def refuse(p, q, r):
         raise AssertionError("a pairwise-coprime triple was counted")

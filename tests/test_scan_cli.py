@@ -147,10 +147,10 @@ class TestScan:
         assert started == [4, 2]
 
     def test_seifert_disagreement_aborts_the_scan(self, monkeypatch, capsys):
-        real = exotwist.scan.knot_signature_seifert
+        real = exotwist.scan.seifert_signatures
         monkeypatch.setattr(
-            exotwist.scan, "knot_signature_seifert",
-            lambda q, r, **kw: real(q, r, **kw) + 8,
+            exotwist.scan, "seifert_signatures",
+            lambda q, rs, **kw: {r: s + 8 for r, s in real(q, rs, **kw).items()},
         )
         with pytest.raises(ConsistencyError, match="Seifert"):
             run_scan(ScanConfig(q_max=7, r_max=11, mode="theorem1", format="csv"))
@@ -160,10 +160,10 @@ class TestScan:
         assert captured.err.startswith("error: internal defect: ")
 
     def test_seifert_limit_and_forced_check(self, monkeypatch, capsys):
-        real = exotwist.scan.knot_signature_seifert
+        real = exotwist.scan.seifert_signatures
         monkeypatch.setattr(
-            exotwist.scan, "knot_signature_seifert",
-            lambda q, r, **kw: real(q, r, **kw) + 8,
+            exotwist.scan, "seifert_signatures",
+            lambda q, rs, **kw: {r: s + 8 for r, s in real(q, rs, **kw).items()},
         )
         monkeypatch.setattr(exotwist.scan, "SEIFERT_CHECK_LIMIT", 0)
         base = dict(q_max=11, r_max=11, mode="theorem1", format="csv")
@@ -177,6 +177,21 @@ class TestScan:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: internal defect: sigma(T(3,")
+
+    def test_every_checked_row_is_compared_with_seifert(self, monkeypatch):
+        real = exotwist.scan.seifert_signatures
+        asked = []
+
+        def shifted(q, rs, **kw):
+            asked.append((q, sorted(rs)))
+            return {r: s + 8 * ((q, r) == (3, 7)) for r, s in real(q, rs, **kw).items()}
+
+        monkeypatch.setattr(exotwist.scan, "seifert_signatures", shifted)
+        # T(3,7) is not the largest r of its task, so it is read off a leading block
+        with pytest.raises(ConsistencyError,
+                           match=r"sigma\(T\(3,7\)\) disagrees: 0 \(Seifert\) vs -8 \(count\)"):
+            run_scan(ScanConfig(q_max=11, r_max=11, mode="theorem1", format="csv"))
+        assert asked == [(3, [7, 11])]
 
     def test_cache_byte_identical_and_accelerating(self, tmp_path):
         cache_file = tmp_path / "inv.jsonl"
@@ -355,10 +370,11 @@ class TestRowPath:
             assert all(row.startswith(f"{p},{q},") for row in chunk.splitlines())
 
     def test_defect_in_a_worker_ends_the_pool(self, monkeypatch, capsys):
-        real = exotwist.scan.knot_signature_seifert
+        real = exotwist.scan.seifert_signatures
         monkeypatch.setattr(
-            exotwist.scan, "knot_signature_seifert",
-            lambda q, r, **kw: real(q, r, **kw) + (8 if q >= 11 else 0),
+            exotwist.scan, "seifert_signatures",
+            lambda q, rs, **kw: {r: s + (8 if q >= 11 else 0)
+                                 for r, s in real(q, rs, **kw).items()},
         )
         argv = ["scan", "--mode", "theorem1", "--q-max", "30", "--r-max", "30",
                 "--format", "csv", "--jobs", "2"]

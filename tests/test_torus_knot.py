@@ -6,7 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import exotwist.torus_knot as torus_knot
 from exotwist.errors import (
+    ConsistencyError,
     DimensionLimitError,
     PreconditionError,
     UnsupportedInputError,
@@ -18,6 +20,7 @@ from exotwist.torus_knot import (
     knot_signature_glm,
     knot_signature_seifert,
     seifert_matrix,
+    seifert_signatures,
     slice_genus,
     symmetric_signature,
     torus_braid,
@@ -67,6 +70,16 @@ class TestSeifertMatrix:
             assert row[x] == -1
             assert all(row[y] == 0 for y in range(x))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 9), st.integers(2, 30), st.integers(1, 12))
+    def test_form_is_a_leading_block_of_a_longer_braid(self, q, r, extra):
+        big_r = r + extra
+        if math.gcd(q, r) != 1 or math.gcd(q, big_r) != 1:
+            return
+        small = seifert_matrix(torus_braid(q, r))
+        big = seifert_matrix(torus_braid(q, big_r)).entries
+        assert [row[:small.n] for row in big[:small.n]] == small.entries
+
     def test_links_rejected(self):
         with pytest.raises(UnsupportedInputError):
             seifert_matrix(torus_braid(2, 4))
@@ -86,6 +99,15 @@ class TestSymmetricSignature:
 
     def test_zero_matrix(self):
         assert symmetric_signature([[0] * 3 for _ in range(3)]).nullity == 3
+
+    def test_zero_pivot_with_a_nonzero_mate_diagonal(self):
+        res = symmetric_signature([[0, 1], [1, 5]])
+        assert (res.positive_count, res.negative_count, res.nullity) == (1, 1, 0)
+
+    def test_straddled_bound_reads_none(self):
+        # the zero pivot 0 pairs with column 2, across the bounds 1 and 2
+        rows = {0: {2: 1}, 1: {1: 1}, 2: {0: 1}}
+        assert torus_knot._inertia(rows, {1, 3}) == {1: None, 3: (2, 1, 0)}
 
     def test_empty(self):
         res = symmetric_signature([])
@@ -251,6 +273,32 @@ class TestKnotSignature:
             knot_signature_seifert(3, 5, dim_limit=4)
         with pytest.raises(DimensionLimitError):
             knot_signature_seifert(26, 401)
+
+    def test_one_elimination_gives_every_signature(self):
+        rng = random.Random(19)
+        for q in range(2, 17):
+            rs = [r for r in range(2, 242) if math.gcd(q, r) == 1 and (q - 1) * (r - 1) <= 240]
+            asked = rs + rng.sample(rs, len(rs) // 3)
+            rng.shuffle(asked)
+            got = seifert_signatures(q, asked)
+            assert list(got) == rs
+            assert got == {r: knot_signature_seifert(q, r) for r in rs}
+            assert got == {r: knot_signature_glm(q, r) for r in rs}
+
+    def test_signatures_refuse_bad_r(self):
+        with pytest.raises(PreconditionError):
+            seifert_signatures(3, [4, 5, 6])
+        with pytest.raises(DimensionLimitError, match=r"T\(3,8\)"):
+            seifert_signatures(3, [4, 8, 5], dim_limit=13)
+        assert seifert_signatures(3, [4, 5], dim_limit=8) == {4: -6, 5: -8}
+        assert seifert_signatures(3, []) == {}
+
+    @pytest.mark.parametrize("mark", [None, (3, 2, 1)])  # a straddled bound, a null row
+    def test_singular_leading_block_is_a_defect(self, monkeypatch, mark):
+        monkeypatch.setattr(torus_knot, "_inertia",
+                            lambda rows, bounds: dict.fromkeys(bounds, mark))
+        with pytest.raises(ConsistencyError, match=r"T\(3,4\)"):
+            seifert_signatures(3, [4, 5])
 
     def test_rejects_non_coprime(self):
         with pytest.raises(PreconditionError):
