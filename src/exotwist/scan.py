@@ -15,12 +15,24 @@ rows lay out certify.csv_fields with the verdict's failed names and d3
 reduced from its numerator over 4, building no per-row object; JSON rows
 and scan_certificates build a certificate with certify.certificate.
 
-A task is one (p, q) pair: one milnor.positive_offsets array serves all its
-r values, and the r values the cache lacks are counted in one batched
-milnor.offsets_count call.  The count's b+ and nullity, or the cache's, go
-through milnor.checked_inertia, which derives mu, b- and sigma.  The first
-pairwise-coprime row of a task has its sigma recomputed by
-milnor.dedekind_sigma, and a mismatch aborts the scan.
+A task is one (p, q) pair.  A pairwise-coprime row (every row a scan
+without --all emits) is not counted: its sigma comes from Dedekind sums and
+is checked on every row against the resolution graph, both through one
+milnor.ClosedForms that holds the scan's memos, and a disagreement aborts
+the scan; then b+ = (mu + sigma)/2 and the nullity is 0.  Any other row
+(only with --all) takes b+ and the nullity from the cache or, for the rows
+the cache lacks, from one batched milnor.offsets_count call over one
+milnor.positive_offsets array, with the nullity checked against
+Milnor-Orlik's milnor.link_b1.  A batch also recounts the task's first
+pairwise-coprime row, if it has one, and compares that count with the
+closed-form sigma, as a spot check of the kernel.  A task with nothing to
+count never calls the kernel, so a scan without --all never imports numpy.
+milnor.checked_inertia derives mu, b- and sigma of every row.
+
+The cache holds the counted rows and the Seifert signatures.  Pairwise-
+coprime rows neither read nor write it: recomputing them is cheaper than a
+lookup.  The memos live as long as the scan: _run drops them when it ends,
+also on an error.
 
 stream_scan hands each task's rendered rows to a writer as soon as the task
 is done, in task order, so the scan holds one task's rows at a time (the
@@ -45,8 +57,8 @@ from .cache import InvariantCache
 from .certify import (CSV_HEADER, CSV_ROW, MODES, ROUTE_NONE, Certificate, certificate,
                       csv_fields, route_of, verdict)
 from .errors import ConsistencyError, PreconditionError
-from .milnor import (checked_inertia, d3_text, dedekind_sigma, from_counts, offsets_count,
-                     positive_offsets)
+from .milnor import (ClosedForms, MilnorInvariants, checked_inertia, d3_text, from_counts,
+                     link_b1, offsets_count, positive_offsets)
 from .torus_knot import seifert_signatures
 
 __all__ = ["MODES", "FORMATS", "SEIFERT_CHECK_LIMIT", "ScanConfig", "run_scan",
@@ -89,19 +101,21 @@ class ScanConfig:
 
 # Per-process scan state.  The parent sets these before forking (or via the
 # pool initializer); workers treat the cache as a read-only snapshot and only
-# the parent ever writes back.
+# the parent ever writes back.  Each process keeps its own closed-form memos.
 _CFG: ScanConfig | None = None
 _CACHE: InvariantCache | None = None
 _CACHE_WRITES = False
+_FORMS: ClosedForms | None = None
 
 
 def _init_worker(cfg: ScanConfig) -> None:
-    global _CFG, _CACHE_WRITES
+    global _CFG, _CACHE_WRITES, _FORMS
     _CFG = cfg
     _CACHE_WRITES = False
+    _FORMS = ClosedForms()
 
 
-def _row(p: int, q: int, r: int, route: str, inertia: tuple) -> str:
+def _row(p: int, q: int, r: int, route: str, inertia: tuple, _inv) -> str:
     """The CSV or text row of a triple, from its inertia and its verdict."""
     cfg = _CFG
     mu, b_plus, b_minus, _, sigma = inertia
@@ -113,8 +127,10 @@ def _row(p: int, q: int, r: int, route: str, inertia: tuple) -> str:
     return _TEXT_FMT.format(*fields).rstrip()
 
 
-def _certificate(p: int, q: int, r: int, _route: str, inertia: tuple) -> Certificate:
-    inv = from_counts(p, q, r, inertia[1], inertia[3])
+def _certificate(p: int, q: int, r: int, _route: str, inertia: tuple,
+                 inv: MilnorInvariants | None) -> Certificate:
+    if inv is None:
+        inv = from_counts(p, q, r, inertia[1], inertia[3])
     return certificate(Triple(p, q, r), inv, _CFG.mode)
 
 
@@ -125,55 +141,93 @@ def _header(fmt: str) -> str:
     return _TEXT_FMT.format(*columns).rstrip() + "\n"
 
 
+def _counted(p: int, q: int, r: int, b_plus: int, nullity: int, source: str) -> tuple:
+    """checked_inertia of a counted or cached row, its nullity checked
+    against Milnor-Orlik."""
+    expected = link_b1(p, q, r)
+    if nullity != expected:
+        raise ConsistencyError(
+            f"nullity of ({p}, {q}, {r}) disagrees between {source} ({nullity}) and "
+            f"Milnor-Orlik ({expected})"
+        )
+    return checked_inertia(p, q, r, b_plus, nullity)
+
+
 def _task(task: tuple[int, int], build: Callable) -> list:
-    """build(p, q, r, route, inertia) for each triple the task emits, where
-    inertia is checked_inertia's (mu, b+, b-, nullity, sigma) from the
-    cache's b+ and nullity of the triple or, for the triples the cache
-    lacks, from one batched count."""
-    cfg = _CFG
-    assert cfg is not None
+    """build(p, q, r, route, inertia, inv) for each triple the task emits,
+    where inertia is checked_inertia's (mu, b+, b-, nullity, sigma), and inv
+    the row's invariant record where the task built one for the cache, else
+    None.  Pairwise-coprime rows take sigma from the closed forms, the
+    others their counts from the cache or from one batched count."""
+    cfg, forms = _CFG, _FORMS
+    assert cfg is not None and forms is not None
     p, q = task
     emitted = []
     for r in range(q + 1, cfg.r_max + 1):
         route = route_of(p, q, r, cfg.mode)
         if route != ROUTE_NONE or cfg.emit_all:
-            emitted.append((r, route, _CACHE.lookup(p, q, r) if _CACHE is not None else None))
-    missing = [r for r, _, cached in emitted if cached is None]
+            emitted.append((r, route))
+    coprime = math.gcd(p, q) == 1
+    inertia = {}  # r: (mu, b+, b-, nullity, sigma)
+    spot = []  # the first pairwise-coprime r, recounted if the task counts
+    missing = []  # the other r the cache lacks
+    for r, _ in emitted:
+        if coprime and math.gcd(p * q, r) == 1:
+            sigma = forms.dedekind_sigma(p, q, r)
+            check = forms.resolution_sigma(p, q, r)
+            if check != sigma:
+                raise ConsistencyError(
+                    f"sigma of ({p},{q},{r}) disagrees: {sigma} (Dedekind sums) vs "
+                    f"{check} (resolution graph)"
+                )
+            mu = (p - 1) * (q - 1) * (r - 1)
+            # equal sigmas make mu + sigma = 4 p_g
+            inertia[r] = checked_inertia(p, q, r, (mu + sigma) // 2, 0)
+            spot = spot or [r]
+            continue
+        cached = _CACHE.lookup(p, q, r) if _CACHE is not None else None
+        if cached is None:
+            missing.append(r)
+        else:
+            inertia[r] = _counted(p, q, r, cached.sigma_plus, cached.nullity, "cache")
     if missing:
-        counts = zip(*offsets_count(p, q, missing, positive_offsets(p, q)))
-    unchecked = math.gcd(p, q) == 1  # no row of the task is pairwise coprime otherwise
+        b_plus, nullity = offsets_count(p, q, missing + spot, positive_offsets(p, q))
+        for r, b, n in zip(missing + spot, b_plus, nullity):
+            counted = _counted(p, q, r, b, n, "count")
+            if r not in inertia:
+                inertia[r] = counted
+            elif counted[4] != inertia[r][4]:
+                raise ConsistencyError(
+                    f"sigma of ({p},{q},{r}) disagrees: {counted[4]} (count) vs "
+                    f"{inertia[r][4]} (Dedekind sums)"
+                )
     seifert = {}  # r: sigma(T(q,r)) by Seifert for each row checked, None if not cached
     if p == 2:
-        for r, _, _ in emitted:
+        for r, _ in emitted:
             if math.gcd(q, r) == 1 and ((q - 1) * (r - 1) <= SEIFERT_CHECK_LIMIT
                                         or cfg.force_seifert_check):
                 seifert[r] = _CACHE.lookup_signature(q, r, "seifert") if _CACHE else None
     fresh = {r for r, sig in seifert.items() if sig is None}
     if fresh:  # one elimination serves every row of the task
         seifert.update(seifert_signatures(q, fresh, dim_limit=(q - 1) * (max(fresh) - 1)))
+    stored = set(missing) if _CACHE_WRITES else ()
     out = []
-    for r, route, cached in emitted:
-        b_plus, nullity = next(counts) if cached is None else (cached.sigma_plus, cached.nullity)
-        inertia = checked_inertia(p, q, r, b_plus, nullity)
-        out.append(build(p, q, r, route, inertia))
-        if unchecked and math.gcd(q, r) == math.gcd(p, r) == 1:
-            unchecked = False
-            sigma = dedekind_sigma(p, q, r)
-            if sigma != inertia[4]:
-                raise ConsistencyError(
-                    f"sigma of ({p},{q},{r}) disagrees: {inertia[4]} (count) vs "
-                    f"{sigma} (Dedekind sums)"
-                )
+    for r, route in emitted:
+        row = inertia[r]
+        inv = None
+        if r in stored:
+            inv = from_counts(p, q, r, row[1], row[3])
+            _CACHE.store(p, q, r, inv)
+        out.append(build(p, q, r, route, row, inv))
         if r in seifert:
-            if seifert[r] != inertia[4]:
+            if seifert[r] != row[4]:
+                source = "Dedekind sums" if coprime and math.gcd(p * q, r) == 1 else "count"
                 raise ConsistencyError(
                     f"sigma(T({q},{r})) disagrees: {seifert[r]} (Seifert) vs "
-                    f"{inertia[4]} (count)"
+                    f"{row[4]} ({source})"
                 )
             if r in fresh and _CACHE_WRITES:
-                _CACHE.store_signature(q, r, sig_count=inertia[4], sig_seifert=seifert[r])
-        if cached is None and _CACHE_WRITES:
-            _CACHE.store(p, q, r, from_counts(p, q, r, b_plus, nullity))
+                _CACHE.store_signature(q, r, sig_count=row[4], sig_seifert=seifert[r])
     return out
 
 
@@ -201,11 +255,11 @@ def _run(cfg: ScanConfig, worker: Callable, emit: Callable) -> None:
 
     An exception from a task or from emit ends the pool (terminating and
     joining its workers) before it propagates."""
-    global _CFG, _CACHE, _CACHE_WRITES
+    global _CFG, _CACHE, _CACHE_WRITES, _FORMS
     cache = InvariantCache(cfg.cache_path) if cfg.cache_path else None
     tasks = _tasks(cfg)
     jobs = min(cfg.jobs, os.cpu_count() or 1, len(tasks))
-    _CFG, _CACHE = cfg, cache
+    _CFG, _CACHE, _FORMS = cfg, cache, ClosedForms()
     try:
         if jobs <= 1:
             # A scan asked for more jobs leaves the cache unchanged even
@@ -227,7 +281,7 @@ def _run(cfg: ScanConfig, worker: Callable, emit: Callable) -> None:
         if cache is not None:
             cache.flush()
     finally:
-        _CFG, _CACHE, _CACHE_WRITES = None, None, False
+        _CFG, _CACHE, _CACHE_WRITES, _FORMS = None, None, False, None
 
 
 def scan_certificates(config: ScanConfig) -> list[Certificate]:

@@ -15,6 +15,7 @@ from exotwist.milnor import (
     from_counts,
     invariants,
     milnor_number,
+    resolution_sigma,
 )
 from exotwist.torus_knot import knot_signature_glm
 
@@ -203,6 +204,55 @@ def test_dedekind_sigma_matches_count_unsorted(triple):
     sigma_plus, sigma_minus, _ = brieskorn_count(*triple)
     for perm in set(permutations(triple)):
         assert dedekind_sigma(*perm) == sigma_plus - sigma_minus
+
+
+@st.composite
+def _coprime_triples(draw, small: bool):
+    """Pairwise-coprime triples, made so by dividing out shared factors."""
+    bounds = (60, 200, 1000) if small else (2**20, 2**40, 2**80)
+    triple = [draw(st.integers(2, bound)) for bound in bounds]
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        while (g := math.gcd(triple[i], triple[j])) > 1:
+            triple[j] //= g
+        assume(triple[j] >= 2)
+    return tuple(triple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coprime_triples(small=False))
+def test_resolution_sigma_matches_dedekind_sigma(triple):
+    sigma = dedekind_sigma(*triple)
+    for perm in permutations(triple):
+        assert resolution_sigma(*perm) == sigma
+
+
+@settings(max_examples=100, deadline=None)
+@given(_coprime_triples(small=True))
+def test_resolution_sigma_matches_count(triple):
+    sigma_plus, sigma_minus, _ = brieskorn_count(*triple)
+    for perm in permutations(triple):
+        assert resolution_sigma(*perm) == sigma_plus - sigma_minus
+
+
+def test_resolution_sigma_needs_pairwise_coprime_exponents():
+    assert resolution_sigma(7, 2**61 - 1, 10**18 + 9) == dedekind_sigma(7, 2**61 - 1, 10**18 + 9)
+    for bad in [(2, 4, 7), (3, 5, 9), (1, 3, 7), (2, 3.0, 7)]:
+        with pytest.raises(PreconditionError):
+            resolution_sigma(*bad)
+
+
+@pytest.mark.parametrize("entries", [milnor._MEMO_ENTRIES, 5])
+def test_scan_memos_match_the_library(monkeypatch, entries):
+    monkeypatch.setattr(milnor, "_MEMO_ENTRIES", entries)
+    forms = milnor.ClosedForms()
+    for p in range(2, 12):
+        for q in range(p + 1, 30):
+            for r in range(q + 1, 60):
+                if _pairwise_coprime(p, q, r):
+                    sigma = dedekind_sigma(p, q, r)
+                    assert forms.dedekind_sigma(p, q, r) == sigma, (p, q, r)
+                    assert forms.resolution_sigma(p, q, r) == sigma, (p, q, r)
+    assert 0 < len(forms._u) <= entries and 0 < len(forms._legs) <= entries
 
 
 def test_invariants_validate_the_exponents_once(monkeypatch):

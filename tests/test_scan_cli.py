@@ -189,9 +189,67 @@ class TestScan:
         monkeypatch.setattr(exotwist.scan, "seifert_signatures", shifted)
         # T(3,7) is not the largest r of its task, so it is read off a leading block
         with pytest.raises(ConsistencyError,
-                           match=r"sigma\(T\(3,7\)\) disagrees: 0 \(Seifert\) vs -8 \(count\)"):
+                           match=r"sigma\(T\(3,7\)\) disagrees: 0 \(Seifert\) vs -8 "
+                                 r"\(Dedekind sums\)"):
             run_scan(ScanConfig(q_max=11, r_max=11, mode="theorem1", format="csv"))
         assert asked == [(3, [7, 11])]
+
+    @pytest.mark.parametrize("method", ["dedekind_sigma", "resolution_sigma"])
+    def test_shifted_closed_form_on_a_later_row_aborts_the_scan(self, monkeypatch, capsys,
+                                                                 method):
+        # sigma + 8 on one row that is not the first of its task, through the
+        # memoised Dedekind route or the resolution route; (2,3,13) is the
+        # EMBEDDING row after (2,3,7) and (2,3,11), (3,4,29) the last of (3,4)
+        real = getattr(milnor.ClosedForms, method)
+        targets = {(2, 3, 13), (3, 4, 29)}
+
+        def shifted(self, p, q, r):
+            return real(self, p, q, r) + 8 * ((p, q, r) in targets)
+
+        monkeypatch.setattr(milnor.ClosedForms, method, shifted)
+        for fmt in FORMATS:
+            for jobs in ("1", "2"):
+                argv = ["scan", "--q-max", "30", "--r-max", "30", "--format", fmt,
+                        "--jobs", jobs]
+                assert main(argv) == 3, (fmt, jobs)
+                captured = capsys.readouterr()
+                assert captured.out == "", (fmt, jobs)
+                assert captured.err.startswith("error: internal defect: sigma of (2,3,13)")
+                assert multiprocessing.active_children() == []
+        targets.discard((2, 3, 13))
+        for fmt in FORMATS:
+            for jobs in (1, 2):
+                with pytest.raises(ConsistencyError, match=r"\(3,4,29\) disagrees"):
+                    run_scan(ScanConfig(q_max=30, r_max=30, format=fmt, jobs=jobs))
+
+    def test_closed_form_memos_last_one_scan(self, monkeypatch):
+        made = []
+        real_init = milnor.ClosedForms.__init__
+
+        def recording_init(self):
+            real_init(self)
+            made.append(self)
+
+        monkeypatch.setattr(milnor.ClosedForms, "__init__", recording_init)
+        run_scan(ScanConfig(q_max=11, r_max=11, format="csv"))
+        assert len(made) == 1 and made[0]._u and made[0]._legs
+        assert exotwist.scan._FORMS is None
+        monkeypatch.setattr(exotwist.scan, "seifert_signatures", lambda q, rs, **kw: 1 // 0)
+        with pytest.raises(ZeroDivisionError):
+            run_scan(ScanConfig(q_max=11, r_max=11, format="csv"))
+        assert len(made) == 2 and exotwist.scan._FORMS is None
+
+    def test_counted_nullity_is_checked_against_milnor_orlik(self, monkeypatch):
+        real = milnor.offsets_count
+
+        def shifted(a, b, cs, v):
+            b_plus, nullity = real(a, b, cs, v)
+            return b_plus, [n + 2 * ((a, b, c) == (2, 4, 8)) for n, c in zip(nullity, cs)]
+
+        monkeypatch.setattr(exotwist.scan, "offsets_count", shifted)
+        with pytest.raises(ConsistencyError,
+                           match=r"nullity of \(2, 4, 8\) disagrees between count \(4\)"):
+            run_scan(ScanConfig(q_max=8, r_max=8, format="csv", emit_all=True))
 
     def test_cache_byte_identical_and_accelerating(self, tmp_path):
         cache_file = tmp_path / "inv.jsonl"
@@ -212,32 +270,64 @@ class TestScan:
 
     def test_edited_cache_record_is_recomputed_or_refused(self, tmp_path, capsys):
         cache_file = tmp_path / "inv.jsonl"
-        base = dict(q_max=7, r_max=7, mode="theorem2")
-        want = {fmt: run_scan(ScanConfig(format=fmt, **base)) for fmt in ("csv", "json")}
-        run_scan(ScanConfig(format="csv", cache_path=str(cache_file), **base))
-        lines = cache_file.read_text().splitlines()
 
-        def edit(field, value):
+        def edit(key, **fields):
             out = []
-            for line in lines:
+            for line in cache_file.read_text().splitlines():
                 rec = json.loads(line)
-                if (rec["p"], rec["q"], rec["r"]) == (2, 5, 7):
-                    rec["invariants"][field] = value
+                if (rec["p"], rec["q"], rec["r"]) == key and rec["invariants"]:
+                    rec["invariants"].update(fields)
                 out.append(json.dumps(rec))
             cache_file.write_text("\n".join(out) + "\n")
 
-        # mu, b- and sigma are derived, so an edit to them changes no byte
-        edit("mu", 999)
+        # pairwise-coprime rows come from the closed forms and never read the
+        # cache: a wrong record, stored as earlier versions stored every row,
+        # changes no byte (true b+ of (2,5,7) is 4, nullity 0)
+        base = dict(q_max=7, r_max=7, mode="theorem2")
+        want = {fmt: run_scan(ScanConfig(format=fmt, **base)) for fmt in ("csv", "json")}
+        run_scan(ScanConfig(format="csv", cache_path=str(cache_file), **base))
+        assert all(json.loads(line)["invariants"] is None
+                   for line in cache_file.read_text().splitlines())
+        cache = InvariantCache(cache_file)
+        cache.store(2, 5, 7, milnor.from_counts(2, 5, 7, 8, 2))
+        cache.flush()
         for fmt, table in want.items():
             assert run_scan(ScanConfig(format=fmt, cache_path=str(cache_file), **base)) == table
-        # an edited b+ contradicts the Dedekind-sum sigma (true b+ is 4)
-        edit("sigma_plus", 8)
-        with pytest.raises(ConsistencyError, match=r"\(2,5,7\)"):
-            run_scan(ScanConfig(format="csv", cache_path=str(cache_file), **base))
-        argv = ["scan", "--mode", "theorem2", "--q-max", "7", "--r-max", "7",
-                "--cache", str(cache_file)]
+        # a counted --all row reads b+ and the nullity of its record
+        cache_file.unlink()
+        base = dict(q_max=8, r_max=8, mode="all", emit_all=True)
+        want = {fmt: run_scan(ScanConfig(format=fmt, **base)) for fmt in ("csv", "json")}
+        run_scan(ScanConfig(format="csv", cache_path=str(cache_file), **base))
+        # mu, b- and sigma are derived, so an edit to them changes no byte
+        edit((2, 4, 8), mu=999, sigma_minus=0, sigma=5)
+        for fmt, table in want.items():
+            assert run_scan(ScanConfig(format=fmt, cache_path=str(cache_file), **base)) == table
+        # an edited nullity contradicts Milnor-Orlik (true nullity is 2)
+        edit((2, 4, 8), nullity=4)
+        for fmt in ("csv", "json"):
+            with pytest.raises(ConsistencyError, match=r"\(2, 4, 8\).*Milnor-Orlik \(2\)"):
+                run_scan(ScanConfig(format=fmt, cache_path=str(cache_file), **base))
+        argv = ["scan", "--q-max", "8", "--r-max", "8", "--all", "--cache", str(cache_file)]
         assert main(argv) == 3
-        assert capsys.readouterr().err.startswith("error: internal defect: ")
+        assert capsys.readouterr().err.startswith("error: internal defect: nullity of (2, 4, 8)")
+
+    def test_json_scan_builds_each_record_once(self, tmp_path, monkeypatch):
+        built = []
+        real = exotwist.scan.from_counts
+
+        def counting(p, q, r, b_plus, nullity):
+            built.append((p, q, r))
+            return real(p, q, r, b_plus, nullity)
+
+        monkeypatch.setattr(exotwist.scan, "from_counts", counting)
+        base = dict(q_max=8, r_max=8, format="json", emit_all=True)
+        cache_file = tmp_path / "inv.jsonl"
+        certs = scan_certificates(ScanConfig(cache_path=str(cache_file), **base))
+        # the record a counted row stores is the one its certificate carries
+        triples = [(c.triple.p, c.triple.q, c.triple.r) for c in certs]
+        assert sorted(built) == triples
+        stored = InvariantCache(cache_file).lookup(2, 4, 8)
+        assert stored is not None and stored == certs[triples.index((2, 4, 8))].invariants
 
     def test_missing_cache_directory_is_an_io_error(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "c.jsonl"
@@ -518,12 +608,16 @@ class TestCli:
         with pytest.raises(ConsistencyError, match="genus route"):
             certify(Triple(2, 7, 11))
         monkeypatch.setattr(milnor, "dedekind_sigma", real_sigma)
-        with pytest.raises(ConsistencyError, match="genus route"):
-            run_scan(ScanConfig(q_max=7, r_max=11, mode="theorem1", format="csv"))
-        assert main(["scan", "--mode", "theorem1", "--q-max", "7", "--r-max", "11"]) == 3
+        # a scan counts only with --all, and then recounts the first
+        # pairwise-coprime row of each counting task against the closed forms
+        with pytest.raises(ConsistencyError,
+                           match=r"\(2,3,5\) disagrees: 0 \(count\) vs -8 \(Dedekind sums\)"):
+            run_scan(ScanConfig(q_max=7, r_max=11, mode="theorem1", format="csv", emit_all=True))
+        argv = ["scan", "--mode", "theorem1", "--q-max", "7", "--r-max", "11", "--all"]
+        assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: internal defect: b+ of M_c(2,3,7)")
+        assert captured.err.startswith("error: internal defect: sigma of (2,3,5)")
 
     def test_shifted_count_for_p_at_least_3_is_an_internal_defect(self, monkeypatch, capsys):
         real = milnor.offsets_count
@@ -533,13 +627,15 @@ class TestCli:
             return ([x + 4 * (a >= 3) for x in b_plus], nullity)
 
         monkeypatch.setattr(exotwist.scan, "offsets_count", shifted)
-        config = ScanConfig(q_max=4, r_max=7, mode="all", format="csv")
-        with pytest.raises(ConsistencyError, match=r"\(3,4,7\) disagrees: -16 \(count\) vs -24"):
+        # task (3,4) counts (3,4,6) and recounts (3,4,5), its first
+        # pairwise-coprime row
+        config = ScanConfig(q_max=4, r_max=7, mode="all", format="csv", emit_all=True)
+        with pytest.raises(ConsistencyError, match=r"\(3,4,5\) disagrees: -8 \(count\) vs -16"):
             run_scan(config)
-        assert main(["scan", "--q-max", "4", "--r-max", "7", "--format", "csv"]) == 3
+        assert main(["scan", "--q-max", "4", "--r-max", "7", "--format", "csv", "--all"]) == 3
         captured = capsys.readouterr()
-        assert "3,4,7" not in captured.out
-        assert captured.err.startswith("error: internal defect: sigma of (3,4,7)")
+        assert "2,4,7," in captured.out and "\n3,4," not in captured.out
+        assert captured.err.startswith("error: internal defect: sigma of (3,4,5)")
         # certify takes sigma from Dedekind sums and never reads the count
         inv = certify(Triple(3, 4, 7)).invariants
         assert (inv.sigma, inv.sigma_plus) == (-24, 6)
@@ -556,7 +652,8 @@ class TestCli:
             assert captured.err.count("\n") == 1
         monkeypatch.setattr(milnor, "_MAX_TERMS", 1)
         for jobs in ("1", "2"):
-            argv = ["scan", "--mode", "theorem1", "--q-max", "7", "--r-max", "11"]
+            # only an --all scan counts
+            argv = ["scan", "--mode", "theorem1", "--q-max", "7", "--r-max", "11", "--all"]
             assert main([*argv, "--jobs", jobs]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -583,6 +680,21 @@ class TestCli:
             )
             assert done.returncode == code, (triple, done.stderr)
             assert done.stderr.splitlines()[-1] == str(numpy_loaded), triple
+
+    def test_scan_imports_numpy_only_to_count(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        probe = (
+            "import sys; from exotwist.cli import main; code = main(sys.argv[1:]); "
+            "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+        )
+        # without --all every emitted row is pairwise coprime
+        for extra, numpy_loaded in (([], False), (["--all"], True)):
+            done = subprocess.run(
+                [sys.executable, "-c", probe, "scan", "--q-max", "30", "--r-max", "30", *extra],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == 0, (extra, done.stderr)
+            assert done.stderr.splitlines()[-1] == str(numpy_loaded), extra
 
     def test_closed_stdout_is_an_io_error(self, monkeypatch):
         class ClosedPipe(io.StringIO):
