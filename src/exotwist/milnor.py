@@ -74,10 +74,10 @@ Where each number of a certificate comes from:
   invariants() (and certify): sigma by dedekind_sigma on pairwise-coprime
       triples; otherwise b+ and the nullity by brieskorn_count, the nullity
       checked against Milnor-Orlik.
-  a scan's pairwise-coprime row: sigma by Dedekind sums, through a
-      ClosedForms held for the scan (U(h, k) memoised), checked against
-      ClosedForms.resolution_sigma (legs memoised by (nu, a)); b+ =
-      (mu + sigma)/2, nullity 0.
+  a scan's pairwise-coprime row: sigma by memoised_dedekind_sigma
+      (U(h, k) memoised), checked against resolution_sigma (legs memoised
+      by (nu, a)); b+ = (mu + sigma)/2, nullity 0.  The scan empties both
+      memos when it ends.
   a scan's other row (only with --all): b+ and the nullity by one batched
       offsets_count per (p, q) task, the nullity checked against
       Milnor-Orlik; the same batch recounts the task's first
@@ -89,17 +89,17 @@ invariant is the exact rational -sigma/4 - b+ - 1/2 = (-sigma - 4b+ - 2)/4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import ConsistencyError, PreconditionError, UnsupportedInputError
 
 __all__ = ["MilnorInvariants", "milnor_number", "positive_offsets", "offsets_count",
-           "brieskorn_count", "dedekind_sigma", "ClosedForms", "resolution_sigma",
-           "link_b1", "checked_inertia", "from_counts", "d3_text", "invariants",
-           "b_plus_via_lemma"]
+           "brieskorn_count", "dedekind_sigma", "memoised_dedekind_sigma",
+           "resolution_sigma", "clear_memos", "checked_inertia", "from_counts", "d3_text",
+           "invariants", "b_plus_via_lemma"]
 
 # int64 guard: c*v < c*ab bounds every intermediate of the offsets kernel.
 _INT64_GUARD = 2**62
@@ -108,8 +108,8 @@ _INT64_GUARD = 2**62
 # q, r <= 200 box needs at most 4*10^4.
 _MAX_TERMS = 1 << 24
 
-# Most entries each memo of a ClosedForms holds; a full memo is emptied, so a
-# scan's memory does not grow with its box.  The q, r <= 200 box needs 12,231.
+# Most entries each of the scan's memos holds, the least recently used going
+# first, so a scan's memory does not grow with its box.  The q, r <= 200 box needs 12,231.
 _MEMO_ENTRIES = 1 << 16
 
 # Most products c*v the offsets kernel holds at once (64 KiB of int64 per
@@ -284,91 +284,72 @@ def _leg(nu: int, a: int) -> tuple[int, int, int, int, int]:
     return omega, omega + 1 - a, big_y, big_y + big_z - a * sb, s
 
 
-class ClosedForms:
-    """The two closed forms of sigma for pairwise-coprime exponents, with
-    the memos of one scan: U(h, k) of the Dedekind sums, and the resolution
-    legs by (nu, a), each of at most _MEMO_ENTRIES entries.  A scan holds one
-    instance and drops it when it ends; the library functions keep no memo.
-    Neither method validates its exponents: the caller passes
-    pairwise-coprime integers >= 2.
+# The scan's memos, one per closed form: U(h, k) of the Dedekind sums and the
+# resolution legs by (nu, a).  scan._run empties both when a scan ends; the
+# library dedekind_sigma and invariants() use neither.
+_memo_u = functools.lru_cache(maxsize=_MEMO_ENTRIES)(_dedekind_u)
+_memo_leg = functools.lru_cache(maxsize=_MEMO_ENTRIES)(_leg)
+
+
+def clear_memos() -> None:
+    """Empty the memos of memoised_dedekind_sigma and resolution_sigma."""
+    _memo_u.cache_clear()
+    _memo_leg.cache_clear()
+
+
+def memoised_dedekind_sigma(p: int, q: int, r: int) -> int:
+    """dedekind_sigma(p, q, r), each U(h, k) memoised by (h mod k, k).
+
+    Does not validate its exponents: the caller passes pairwise-coprime
+    integers >= 2.
+
+    >>> memoised_dedekind_sigma(3, 4, 5)
+    -16
     """
-
-    def __init__(self) -> None:
-        self._u: dict[tuple[int, int], int] = {}
-        self._legs: dict[tuple[int, int], tuple] = {}
-
-    @staticmethod
-    def _fill(memo: dict, key: tuple[int, int], compute: Callable):
-        if len(memo) >= _MEMO_ENTRIES:
-            memo.clear()
-        value = memo[key] = compute(*key)
-        return value
-
-    def dedekind_sigma(self, p: int, q: int, r: int) -> int:
-        """dedekind_sigma(p, q, r), with each U(h, k) memoised.
-
-        >>> ClosedForms().dedekind_sigma(3, 4, 5)
-        -16
-        """
-        memo = self._u
-        qr, pr, pq = q * r, p * r, p * q
-        n = pq * r
-        total = 1 - n * n + pq * pq + qr * qr + pr * pr
-        for m, k in ((qr, p), (pr, q), (pq, r)):
-            key = (m % k, k)
-            u = memo.get(key)
-            if u is None:
-                u = self._fill(memo, key, _dedekind_u)
-            total -= m * u
-        quo, rem = divmod(total, 3 * n)
-        if rem:
-            raise ConsistencyError(f"Dedekind-sum sigma of ({p}, {q}, {r}) is not an integer")
-        return quo - 1
-
-    def resolution_sigma(self, p: int, q: int, r: int) -> int:
-        """sigma by the resolution graph, with each leg memoised by (nu, a).
-
-        >>> ClosedForms().resolution_sigma(2, 3, 7)
-        -8
-        """
-        memo = self._legs
-        qr, pr, pq = q * r, p * r, p * q
-        n = pq * r
-        key_p, key_q, key_r = (qr % p, p), (pr % q, q), (pq % r, r)
-        o_p, w_p, c_p, d_p, s_p = memo.get(key_p) or self._fill(memo, key_p, _leg)
-        o_q, w_q, c_q, d_q, s_q = memo.get(key_q) or self._fill(memo, key_q, _leg)
-        o_r, w_r, c_r, d_r, s_r = memo.get(key_r) or self._fill(memo, key_r, _leg)
-        e0, rem = divmod(1 + o_p * qr + o_q * pr + o_r * pq, n)
-        k0 = w_p * qr + w_q * pr + w_r * pq - n * (e0 - 2)
-        k_p, rem_p = divmod(k0 * c_p + d_p, p)
-        k_q, rem_q = divmod(k0 * c_q + d_q, q)
-        k_r, rem_r = divmod(k0 * c_r + d_r, r)
-        k_square = k0 * (e0 - 2) + k_p + k_q + k_r
-        mu = (p - 1) * (q - 1) * (r - 1)
-        p_g, rem_g = divmod(mu - k_square - 1 - s_p - s_q - s_r, 12)
-        if rem or rem_p or rem_q or rem_r or rem_g:
-            raise ConsistencyError(f"resolution-graph sigma of ({p}, {q}, {r}) is not an integer")
-        return 4 * p_g - mu
+    qr, pr, pq = q * r, p * r, p * q
+    n = pq * r
+    total = 1 - n * n + pq * pq + qr * qr + pr * pr
+    for m, k in ((qr, p), (pr, q), (pq, r)):
+        total -= m * _memo_u(m % k, k)
+    quo, rem = divmod(total, 3 * n)
+    if rem:
+        raise ConsistencyError(f"Dedekind-sum sigma of ({p}, {q}, {r}) is not an integer")
+    return quo - 1
 
 
 def resolution_sigma(p: int, q: int, r: int) -> int:
     """sigma of M_c(p,q,r) for pairwise-coprime exponents, by the resolution
-    graph of the module docstring; O(log) integer steps, no memo.
+    graph of the module docstring, each leg memoised by (nu, a); O(log)
+    integer steps.
+
+    Does not validate its exponents: the caller passes pairwise-coprime
+    integers >= 2.
 
     >>> resolution_sigma(2, 3, 7), resolution_sigma(7, 2, 3), resolution_sigma(3, 4, 5)
     (-8, -8, -16)
     """
-    _validate_exponents(p, q, r)
-    if math.gcd(p, q) != 1 or math.gcd(q, r) != 1 or math.gcd(p, r) != 1:
-        raise PreconditionError(f"resolution sigma needs pairwise-coprime exponents, "
-                                f"got ({p}, {q}, {r})")
-    return ClosedForms().resolution_sigma(p, q, r)
+    qr, pr, pq = q * r, p * r, p * q
+    n = pq * r
+    o_p, w_p, c_p, d_p, s_p = _memo_leg(qr % p, p)
+    o_q, w_q, c_q, d_q, s_q = _memo_leg(pr % q, q)
+    o_r, w_r, c_r, d_r, s_r = _memo_leg(pq % r, r)
+    e0, rem = divmod(1 + o_p * qr + o_q * pr + o_r * pq, n)
+    k0 = w_p * qr + w_q * pr + w_r * pq - n * (e0 - 2)
+    k_p, rem_p = divmod(k0 * c_p + d_p, p)
+    k_q, rem_q = divmod(k0 * c_q + d_q, q)
+    k_r, rem_r = divmod(k0 * c_r + d_r, r)
+    k_square = k0 * (e0 - 2) + k_p + k_q + k_r
+    mu = (p - 1) * (q - 1) * (r - 1)
+    p_g, rem_g = divmod(mu - k_square - 1 - s_p - s_q - s_r, 12)
+    if rem or rem_p or rem_q or rem_r or rem_g:
+        raise ConsistencyError(f"resolution-graph sigma of ({p}, {q}, {r}) is not an integer")
+    return 4 * p_g - mu
 
 
-def link_b1(p: int, q: int, r: int) -> int:
+def _link_b1(p: int, q: int, r: int) -> int:
     """Milnor-Orlik's first Betti number of the link, the nullity of the form.
 
-    >>> link_b1(2, 3, 7), link_b1(4, 6, 8), link_b1(3, 3, 3)
+    >>> _link_b1(2, 3, 7), _link_b1(4, 6, 8), _link_b1(3, 3, 3)
     (0, 2, 2)
     """
     return 2 + p * q * r // math.lcm(p, q, r) - math.gcd(p, q) - math.gcd(q, r) - math.gcd(p, r)

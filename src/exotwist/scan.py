@@ -16,23 +16,23 @@ reduced from its numerator over 4, building no per-row object; JSON rows
 and scan_certificates build a certificate with certify.certificate.
 
 A task is one (p, q) pair.  A pairwise-coprime row (every row a scan
-without --all emits) is not counted: its sigma comes from Dedekind sums and
-is checked on every row against the resolution graph, both through one
-milnor.ClosedForms that holds the scan's memos, and a disagreement aborts
-the scan; then b+ = (mu + sigma)/2 and the nullity is 0.  Any other row
-(only with --all) takes b+ and the nullity from the cache or, for the rows
-the cache lacks, from one batched milnor.offsets_count call over one
+without --all emits) is not counted: its sigma comes from Dedekind sums
+(milnor.memoised_dedekind_sigma) and is checked on every row against the
+resolution graph (milnor.resolution_sigma), and a disagreement aborts the
+scan; then b+ = (mu + sigma)/2 and the nullity is 0.  Any other row (only
+with --all) takes b+ and the nullity from the cache or, for the rows the
+cache lacks, from one batched milnor.offsets_count call over one
 milnor.positive_offsets array, with the nullity checked against
-Milnor-Orlik's milnor.link_b1.  A batch also recounts the task's first
-pairwise-coprime row, if it has one, and compares that count with the
-closed-form sigma, as a spot check of the kernel.  A task with nothing to
-count never calls the kernel, so a scan without --all never imports numpy.
+Milnor-Orlik.  A batch also recounts the task's first pairwise-coprime row,
+if it has one, and compares that count with the closed-form sigma, as a
+spot check of the kernel.  A task with nothing to count never calls the
+kernel, so a scan without --all never imports numpy.
 milnor.checked_inertia derives mu, b- and sigma of every row.
 
 The cache holds the counted rows and the Seifert signatures.  Pairwise-
 coprime rows neither read nor write it: recomputing them is cheaper than a
-lookup.  The memos live as long as the scan: _run drops them when it ends,
-also on an error.
+lookup.  The closed forms' memos live as long as the scan: _run empties
+them when it ends, also on an error.
 
 stream_scan hands each task's rendered rows to a writer as soon as the task
 is done, in task order, so the scan holds one task's rows at a time (the
@@ -57,8 +57,9 @@ from .cache import InvariantCache
 from .certify import (CSV_HEADER, CSV_ROW, MODES, ROUTE_NONE, Certificate, certificate,
                       csv_fields, route_of, verdict)
 from .errors import ConsistencyError, PreconditionError
-from .milnor import (ClosedForms, MilnorInvariants, checked_inertia, d3_text, from_counts,
-                     link_b1, offsets_count, positive_offsets)
+from .milnor import (MilnorInvariants, _link_b1, checked_inertia, clear_memos, d3_text,
+                     from_counts, memoised_dedekind_sigma, offsets_count, positive_offsets,
+                     resolution_sigma)
 from .torus_knot import seifert_signatures
 
 __all__ = ["MODES", "FORMATS", "SEIFERT_CHECK_LIMIT", "ScanConfig", "run_scan",
@@ -101,18 +102,16 @@ class ScanConfig:
 
 # Per-process scan state.  The parent sets these before forking (or via the
 # pool initializer); workers treat the cache as a read-only snapshot and only
-# the parent ever writes back.  Each process keeps its own closed-form memos.
+# the parent ever writes back.
 _CFG: ScanConfig | None = None
 _CACHE: InvariantCache | None = None
 _CACHE_WRITES = False
-_FORMS: ClosedForms | None = None
 
 
 def _init_worker(cfg: ScanConfig) -> None:
-    global _CFG, _CACHE_WRITES, _FORMS
+    global _CFG, _CACHE_WRITES
     _CFG = cfg
     _CACHE_WRITES = False
-    _FORMS = ClosedForms()
 
 
 def _row(p: int, q: int, r: int, route: str, inertia: tuple, _inv) -> str:
@@ -144,7 +143,7 @@ def _header(fmt: str) -> str:
 def _counted(p: int, q: int, r: int, b_plus: int, nullity: int, source: str) -> tuple:
     """checked_inertia of a counted or cached row, its nullity checked
     against Milnor-Orlik."""
-    expected = link_b1(p, q, r)
+    expected = _link_b1(p, q, r)
     if nullity != expected:
         raise ConsistencyError(
             f"nullity of ({p}, {q}, {r}) disagrees between {source} ({nullity}) and "
@@ -159,8 +158,8 @@ def _task(task: tuple[int, int], build: Callable) -> list:
     the row's invariant record where the task built one for the cache, else
     None.  Pairwise-coprime rows take sigma from the closed forms, the
     others their counts from the cache or from one batched count."""
-    cfg, forms = _CFG, _FORMS
-    assert cfg is not None and forms is not None
+    cfg = _CFG
+    assert cfg is not None
     p, q = task
     emitted = []
     for r in range(q + 1, cfg.r_max + 1):
@@ -173,8 +172,8 @@ def _task(task: tuple[int, int], build: Callable) -> list:
     missing = []  # the other r the cache lacks
     for r, _ in emitted:
         if coprime and math.gcd(p * q, r) == 1:
-            sigma = forms.dedekind_sigma(p, q, r)
-            check = forms.resolution_sigma(p, q, r)
+            sigma = memoised_dedekind_sigma(p, q, r)
+            check = resolution_sigma(p, q, r)
             if check != sigma:
                 raise ConsistencyError(
                     f"sigma of ({p},{q},{r}) disagrees: {sigma} (Dedekind sums) vs "
@@ -255,11 +254,11 @@ def _run(cfg: ScanConfig, worker: Callable, emit: Callable) -> None:
 
     An exception from a task or from emit ends the pool (terminating and
     joining its workers) before it propagates."""
-    global _CFG, _CACHE, _CACHE_WRITES, _FORMS
+    global _CFG, _CACHE, _CACHE_WRITES
     cache = InvariantCache(cfg.cache_path) if cfg.cache_path else None
     tasks = _tasks(cfg)
     jobs = min(cfg.jobs, os.cpu_count() or 1, len(tasks))
-    _CFG, _CACHE, _FORMS = cfg, cache, ClosedForms()
+    _CFG, _CACHE = cfg, cache
     try:
         if jobs <= 1:
             # A scan asked for more jobs leaves the cache unchanged even
@@ -281,7 +280,8 @@ def _run(cfg: ScanConfig, worker: Callable, emit: Callable) -> None:
         if cache is not None:
             cache.flush()
     finally:
-        _CFG, _CACHE, _CACHE_WRITES, _FORMS = None, None, False, None
+        _CFG, _CACHE, _CACHE_WRITES = None, None, False
+        clear_memos()
 
 
 def scan_certificates(config: ScanConfig) -> list[Certificate]:

@@ -234,25 +234,19 @@ def test_resolution_sigma_matches_count(triple):
         assert resolution_sigma(*perm) == sigma_plus - sigma_minus
 
 
-def test_resolution_sigma_needs_pairwise_coprime_exponents():
-    assert resolution_sigma(7, 2**61 - 1, 10**18 + 9) == dedekind_sigma(7, 2**61 - 1, 10**18 + 9)
-    for bad in [(2, 4, 7), (3, 5, 9), (1, 3, 7), (2, 3.0, 7)]:
-        with pytest.raises(PreconditionError):
-            resolution_sigma(*bad)
-
-
-@pytest.mark.parametrize("entries", [milnor._MEMO_ENTRIES, 5])
-def test_scan_memos_match_the_library(monkeypatch, entries):
-    monkeypatch.setattr(milnor, "_MEMO_ENTRIES", entries)
-    forms = milnor.ClosedForms()
+def test_scan_memos_match_the_library():
+    milnor.clear_memos()
     for p in range(2, 12):
         for q in range(p + 1, 30):
             for r in range(q + 1, 60):
                 if _pairwise_coprime(p, q, r):
                     sigma = dedekind_sigma(p, q, r)
-                    assert forms.dedekind_sigma(p, q, r) == sigma, (p, q, r)
-                    assert forms.resolution_sigma(p, q, r) == sigma, (p, q, r)
-    assert 0 < len(forms._u) <= entries and 0 < len(forms._legs) <= entries
+                    assert milnor.memoised_dedekind_sigma(p, q, r) == sigma, (p, q, r)
+                    assert resolution_sigma(p, q, r) == sigma, (p, q, r)
+    for memo in (milnor._memo_u, milnor._memo_leg):
+        assert 0 < memo.cache_info().currsize <= milnor._MEMO_ENTRIES
+    milnor.clear_memos()
+    assert milnor._memo_u.cache_info().currsize == milnor._memo_leg.cache_info().currsize == 0
 
 
 def test_invariants_validate_the_exponents_once(monkeypatch):

@@ -194,19 +194,19 @@ class TestScan:
             run_scan(ScanConfig(q_max=11, r_max=11, mode="theorem1", format="csv"))
         assert asked == [(3, [7, 11])]
 
-    @pytest.mark.parametrize("method", ["dedekind_sigma", "resolution_sigma"])
+    @pytest.mark.parametrize("method", ["memoised_dedekind_sigma", "resolution_sigma"])
     def test_shifted_closed_form_on_a_later_row_aborts_the_scan(self, monkeypatch, capsys,
                                                                  method):
         # sigma + 8 on one row that is not the first of its task, through the
         # memoised Dedekind route or the resolution route; (2,3,13) is the
         # EMBEDDING row after (2,3,7) and (2,3,11), (3,4,29) the last of (3,4)
-        real = getattr(milnor.ClosedForms, method)
+        real = getattr(exotwist.scan, method)
         targets = {(2, 3, 13), (3, 4, 29)}
 
-        def shifted(self, p, q, r):
-            return real(self, p, q, r) + 8 * ((p, q, r) in targets)
+        def shifted(p, q, r):
+            return real(p, q, r) + 8 * ((p, q, r) in targets)
 
-        monkeypatch.setattr(milnor.ClosedForms, method, shifted)
+        monkeypatch.setattr(exotwist.scan, method, shifted)
         for fmt in FORMATS:
             for jobs in ("1", "2"):
                 argv = ["scan", "--q-max", "30", "--r-max", "30", "--format", fmt,
@@ -223,21 +223,23 @@ class TestScan:
                     run_scan(ScanConfig(q_max=30, r_max=30, format=fmt, jobs=jobs))
 
     def test_closed_form_memos_last_one_scan(self, monkeypatch):
-        made = []
-        real_init = milnor.ClosedForms.__init__
+        memos = (milnor._memo_u, milnor._memo_leg)
+        filled = []
+        real = milnor.clear_memos
 
-        def recording_init(self):
-            real_init(self)
-            made.append(self)
+        def recording_clear():
+            filled.append([memo.cache_info().currsize for memo in memos])
+            real()
 
-        monkeypatch.setattr(milnor.ClosedForms, "__init__", recording_init)
+        monkeypatch.setattr(exotwist.scan, "clear_memos", recording_clear)
         run_scan(ScanConfig(q_max=11, r_max=11, format="csv"))
-        assert len(made) == 1 and made[0]._u and made[0]._legs
-        assert exotwist.scan._FORMS is None
+        assert len(filled) == 1 and all(filled[0])
+        assert [memo.cache_info().currsize for memo in memos] == [0, 0]
         monkeypatch.setattr(exotwist.scan, "seifert_signatures", lambda q, rs, **kw: 1 // 0)
         with pytest.raises(ZeroDivisionError):
             run_scan(ScanConfig(q_max=11, r_max=11, format="csv"))
-        assert len(made) == 2 and exotwist.scan._FORMS is None
+        assert len(filled) == 2 and all(filled[1])
+        assert [memo.cache_info().currsize for memo in memos] == [0, 0]
 
     def test_counted_nullity_is_checked_against_milnor_orlik(self, monkeypatch):
         real = milnor.offsets_count
