@@ -197,7 +197,11 @@ def test_dedekind_sigma_matches_count_on_the_grid():
     assert checked == 4067
 
 
-@settings(max_examples=300, deadline=None)
+# About a third of the drawn triples are pairwise coprime, and Hypothesis
+# draws repeated small values often, so its filtering health check fired on
+# some seeds; the check is about generation speed, not about the assertion.
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
 @given(st.tuples(st.integers(2, 80), st.integers(2, 300), st.integers(2, 2000)))
 def test_dedekind_sigma_matches_count_unsorted(triple):
     assume(_pairwise_coprime(*triple))
